@@ -2,8 +2,8 @@
 
 from .liegroup import (GroupElement, adjoint, compose, inverse, sek3_exp,
                        sek3_log, skew, so3_exp, so3_log)
-from .state import (BiasState, FilterState, NoiseConfig, default_noise_config,
-                    initial_covariance, right_invariant_error, run_covariance)
+from .state import (BiasState, FilterState, NoiseConfig, right_invariant_error,
+                    run_covariance)
 from .kinematics import KinematicModel, SerialChain3, VirtualLeg
 from .drs import PitchProfile, drs_pose_at, make_profile
 from .filter import (FilterVariant, ImuSample, Observation, ProcessInput,
@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupElement", "adjoint", "compose", "inverse", "sek3_exp", "sek3_log",
     "skew", "so3_exp", "so3_log",
-    "BiasState", "FilterState", "NoiseConfig", "default_noise_config",
-    "initial_covariance", "right_invariant_error", "run_covariance",
+    "BiasState", "FilterState", "NoiseConfig", "right_invariant_error",
+    "run_covariance",
     "KinematicModel", "SerialChain3", "VirtualLeg",
     "PitchProfile", "drs_pose_at", "make_profile",
     "FilterVariant", "ImuSample", "Observation", "ProcessInput",

@@ -1,4 +1,4 @@
-"""Dynamic-rigid-surface environment: treadmill pitch profiles and twists.
+"""Dynamic-rigid-surface environment: treadmill pitch profiles and rates.
 
 The surface rotates about the world y-axis through a pivot at the world
 origin.  Profiles:
@@ -22,7 +22,6 @@ from .liegroup import so3_exp
 @dataclass(frozen=True)
 class DrsState:
     R_drs: np.ndarray
-    v_drs: np.ndarray
     omega_drs: np.ndarray
     t: float
 
@@ -101,30 +100,18 @@ def make_profile(name):
     raise ValueError(f"unknown profile name: {name}")
 
 
-def drs_pose_at(profile, t, pivot_offset=None):
-    """Surface pose/twist at time t.
+def drs_pose_at(profile, t):
+    """Surface orientation and angular velocity at time t.
 
-    The surface frame origin sits at ``pivot_offset`` from the rotation
-    pivot; with the default zero offset the origin is the pivot and the
-    surface origin velocity vanishes.
+    The surface frame origin is the rotation pivot, so it does not move.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     theta, rate = profile.angle_and_rate(t)
     R = so3_exp(np.array([0.0, theta, 0.0]))
-    omega = np.array([0.0, rate, 0.0])
-    if pivot_offset is None:
-        v = np.zeros(3)
-    else:
-        v = np.cross(omega, R @ np.asarray(pivot_offset, dtype=float))
-    return DrsState(R_drs=R, v_drs=v, omega_drs=omega, t=float(t))
+    return DrsState(R_drs=R, omega_drs=np.array([0.0, rate, 0.0]), t=float(t))
 
 
 def contact_point_velocity(drs, p_c_in_drs):
     """World-frame velocity of a point fixed in the rotating surface frame."""
-    return drs.v_drs + np.cross(drs.omega_drs, drs.R_drs @ np.asarray(p_c_in_drs, dtype=float))
-
-
-def corrupt_drs_orientation(R_drs, w_drs):
-    """Reported surface orientation given the true one and a noise vector."""
-    return so3_exp(np.asarray(w_drs, dtype=float)) @ R_drs
+    return np.cross(drs.omega_drs, drs.R_drs @ np.asarray(p_c_in_drs, dtype=float))

@@ -20,12 +20,13 @@ import numpy as np
 
 from .liegroup import (GroupElement, compose, sek3_exp, skew,
                        project_rotation)
-from .state import (BiasState, FilterState, NoiseConfig, symmetrize)
+from .state import BiasState, FilterState, symmetrize
 from . import liegroup
 
 log = logging.getLogger(__name__)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+_SKEW_GRAVITY = skew(GRAVITY)
 E3 = np.array([0.0, 0.0, 1.0])
 
 MAX_DT = 0.1
@@ -70,14 +71,8 @@ class Observation:
     N: np.ndarray
 
 
-def process_derivative(X, theta, imu, v_c):
-    """Time derivative of (rotation | v p pc) under the deterministic model."""
-    omega = imu.omega_tilde - theta.b_omega
-    acc = imu.a_tilde - theta.b_acc
-    return _mean_derivative(np.hstack([X.rot, X.cols]), omega, acc, v_c)
-
-
 def _mean_derivative(M, omega, acc, v_c):
+    """Time derivative of M = (rotation | v p pc), bias-corrected inputs."""
     R = M[:, :3]
     dM = np.empty((3, 6))
     dM[:, :3] = R @ skew(omega)
@@ -105,25 +100,33 @@ def integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt):
 
 
 def dynamics_matrix(X, theta, imu, v_c):
-    """The process vector field as a 6x6 matrix (group-affine form)."""
-    omega = imu.omega_tilde - theta.b_omega
-    acc = imu.a_tilde - theta.b_acc
+    """The process vector field that ``integrate_mean`` integrates, as a 6x6
+    matrix (group-affine form)."""
     F = np.zeros((6, 6))
-    F[:3, :3] = X.rot @ skew(omega)
-    F[:3, 3] = X.rot @ acc + GRAVITY
-    F[:3, 4] = X.v
-    F[:3, 5] = v_c
+    F[:3] = _mean_derivative(np.hstack([X.rot, X.cols]),
+                             imu.omega_tilde - theta.b_omega,
+                             imu.a_tilde - theta.b_acc, v_c)
     return F
+
+
+def _fill_error_jacobian_nobias(A, v_c):
+    # the right-invariant error makes this block independent of the state
+    A[3:6, 0:3] = _SKEW_GRAVITY
+    A[6:9, 3:6] = np.eye(3)
+    A[9:12, 0:3] = skew(v_c)
+    return A
+
+
+def error_jacobian_nobias(v_c):
+    """12x12 bias-free block of the error Jacobian (nilpotent)."""
+    return _fill_error_jacobian_nobias(np.zeros((12, 12)), v_c)
 
 
 def error_jacobian(state, v_c_tilde):
     """18x18 Jacobian of the linearized invariant-error dynamics."""
-    A = np.zeros((18, 18))
+    A = _fill_error_jacobian_nobias(np.zeros((18, 18)), v_c_tilde)
     X = state.X
     R = X.rot
-    A[3:6, 0:3] = skew(GRAVITY)
-    A[6:9, 3:6] = np.eye(3)
-    A[9:12, 0:3] = skew(v_c_tilde)
     A[0:3, 12:15] = -R
     A[3:6, 12:15] = -skew(X.v) @ R
     A[6:9, 12:15] = -skew(X.p) @ R
@@ -193,18 +196,18 @@ def position_observation(q_tilde, model, noise, R_est):
     return Observation("position", Y, d, N)
 
 
-def observation_row(obs):
-    """Reduced 3x12 observation matrix for one observation."""
-    if obs.kind == "orientation":
-        H = np.zeros((3, 12))
-        H[:, 0:3] = skew(obs.d[:3])
-        return H
-    if obs.kind == "position":
-        H = np.zeros((3, 12))
+def observation_row(kind, normal):
+    """Reduced 3x12 observation matrix for one observation kind; ``normal``,
+    the reported surface normal, is used by the orientation rows only."""
+    H = np.zeros((3, 12))
+    if kind == "orientation":
+        H[:, 0:3] = skew(normal)
+    elif kind == "position":
         H[:, 6:9] = -np.eye(3)
         H[:, 9:12] = np.eye(3)
-        return H
-    raise ValueError(f"unknown observation kind: {obs.kind}")
+    else:
+        raise ValueError(f"unknown observation kind: {kind}")
+    return H
 
 
 def innovation(state, obs):
@@ -235,7 +238,7 @@ def update(state, observations):
     Nbar = np.zeros((3 * k, 3 * k))
     for i, obs in enumerate(observations):
         rows = slice(3 * i, 3 * i + 3)
-        H[rows, :12] = observation_row(obs)
+        H[rows, :12] = observation_row(obs.kind, obs.d[:3])
         z[rows] = innovation(state, obs)
         Nbar[rows, rows] = obs.N
     S = H @ state.P @ H.T + Nbar
@@ -284,52 +287,60 @@ def jump_propagate(state, q_tilde_at_landing, model, noise):
     return FilterState(X_new, state.theta, symmetrize(P), state.t)
 
 
-def run_variant(state, dataset, variant, model, noise, record_all=False):
+def _event_schedule(dataset):
+    """Per IMU step, the index of the contact switch, the encoder sample and
+    the surface-orientation sample that fall at the end of the step, or -1.
+
+    An event falls on the step whose end time lies within a quarter step of
+    it; two events of one stream on one step are rejected.
+    """
+    t_imu, tol = dataset.imu_t, 0.25 * dataset.dt
+    t_end = np.append(t_imu[1:], t_imu[-1:] + dataset.dt)
+    ends = np.append(t_end, np.inf)   # an event after the last step hits inf
+    schedule = np.full((t_end.size, 3), -1)
+    streams = (("contact switch", dataset.switch_t),
+               ("encoder", dataset.meas_t),
+               ("surface orientation", dataset.drs_t))
+    for col, (name, times) in enumerate(streams):
+        step = np.searchsorted(t_end, times - tol, side="right")
+        hit = ends[step] < times + tol
+        step = step[hit]
+        if np.unique(step).size < step.size:
+            raise ValueError(f"two {name} events fall on one IMU step")
+        schedule[step, col] = np.flatnonzero(hit)
+    return schedule
+
+
+def run_variant(state, dataset, variant, model, noise):
     """Run the filter over a scenario dataset.
 
-    Returns the list of filter states at measurement times (or at every IMU
-    sample when ``record_all``).  The dataset must carry time-ordered IMU,
-    contact-velocity, measurement, and contact-switch streams as produced by
-    the scenario generator.
+    Returns the list of filter states at measurement times.  The dataset
+    must carry time-ordered IMU, contact-velocity, measurement, and
+    contact-switch streams as produced by the scenario generator.
     """
     t_imu = dataset.imu_t
-    if np.any(np.diff(t_imu) <= 0.0):
+    dts = np.diff(t_imu)
+    if np.any(dts <= 0.0):
         raise ValueError("IMU stream timestamps out of order")
     if dataset.meas_t.size and np.any(np.diff(dataset.meas_t) <= 0.0):
         raise ValueError("measurement stream timestamps out of order")
-    tol = 0.25 * dataset.dt
-    meas_by_step = {}
-    for j, tm in enumerate(dataset.meas_t):
-        meas_by_step[int(round(tm / dataset.dt))] = j
-    switch_by_step = {}
-    for j, ts in enumerate(dataset.switch_t):
-        switch_by_step[int(round(ts / dataset.dt))] = j
-    orient_by_step = {}
-    for j, to in enumerate(dataset.drs_t):
-        orient_by_step[int(round(to / dataset.dt))] = j
+    dts = np.append(dts, dataset.dt)
+    schedule = _event_schedule(dataset)
 
     trajectory = []
-    n = t_imu.size
-    for k in range(n):
-        dt = t_imu[k + 1] - t_imu[k] if k + 1 < n else dataset.dt
+    for k, (js, jm, jo) in enumerate(schedule.tolist()):
         imu = ImuSample(dataset.imu_omega[k], dataset.imu_acc[k], t_imu[k])
-        inp = ProcessInput(imu, dataset.contact_v[k], dt)
+        inp = ProcessInput(imu, dataset.contact_v[k], dts[k])
         state = propagate(state, inp, noise, variant)
-        step_idx = k + 1
-        j = switch_by_step.get(step_idx)
-        if j is not None and abs(dataset.switch_t[j] - state.t) < tol:
-            state = jump_propagate(state, dataset.switch_q[j], model, noise)
-        j = meas_by_step.get(step_idx)
-        if j is not None and abs(dataset.meas_t[j] - state.t) < tol:
-            obs = [position_observation(dataset.enc_q[j], model, noise,
+        if js >= 0:
+            state = jump_propagate(state, dataset.switch_q[js], model, noise)
+        if jm >= 0:
+            obs = [position_observation(dataset.enc_q[jm], model, noise,
                                         state.X.rot)]
-            jo = orient_by_step.get(step_idx)
-            if variant is FilterVariant.DRS and jo is not None:
+            if variant is FilterVariant.DRS and jo >= 0:
                 obs.insert(0, orientation_observation(
-                    dataset.enc_q[j], dataset.drs_rot[jo], model, noise,
+                    dataset.enc_q[jm], dataset.drs_rot[jo], model, noise,
                     state.X.rot))
             state = update(state, obs)
-            trajectory.append(state)
-        elif record_all:
             trajectory.append(state)
     return trajectory

@@ -12,18 +12,20 @@ import argparse
 import csv
 import json
 import math
+import pathlib
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .drs import PitchProfile, make_profile, profile_from_csv
+from .drs import make_profile, profile_from_csv
 from .filter import FilterVariant, run_variant
 from .kinematics import VirtualLeg
-from .liegroup import quat_to_rot, rot_to_quat, so3_exp, so3_log
-from .sim import (ScenarioConfig, ScenarioDataset, generate,
-                  initial_error_draw, load_jsonl, save_jsonl)
-from .state import BiasState, FilterState, NoiseConfig, run_covariance
+from .liegroup import GroupElement, quat_to_rot, rot_to_quat, so3_exp, so3_log
+from .sim import (ScenarioConfig, generate, initial_error_draw, load_jsonl,
+                  save_jsonl)
+from .state import (BiasState, FilterState, NoiseConfig, read_config,
+                    run_covariance)
 from .observability import tilt_sweep
 
 ERROR_VARS = ("v_x", "v_y", "v_z", "yaw", "pitch", "roll")
@@ -57,19 +59,27 @@ def interpolate_truth(dataset, t):
     return R, v, p, pc
 
 
+def epoch_errors(dataset, times, rotations, velocities):
+    """Per-epoch error table, columns ordered as ERROR_VARS, for estimated
+    rotations and velocities at the given times."""
+    errors = np.empty((times.size, 6))
+    for i, t in enumerate(times):
+        R_true, v_true, _, _ = interpolate_truth(dataset, t)
+        roll, pitch, yaw = error_angles(rotations[i], R_true)
+        errors[i, :3] = velocities[i] - v_true
+        errors[i, 3:] = (yaw, pitch, roll)
+    return errors
+
+
 def trajectory_errors(dataset, trajectory):
     """Per-epoch error table for one filter trajectory.
 
     Returns (times, errors) with columns ordered as ERROR_VARS.
     """
     times = np.array([st.t for st in trajectory])
-    errors = np.empty((times.size, 6))
-    for i, st in enumerate(trajectory):
-        R_true, v_true, _, _ = interpolate_truth(dataset, st.t)
-        roll, pitch, yaw = error_angles(st.X.rot, R_true)
-        errors[i, :3] = st.X.v - v_true
-        errors[i, 3:] = (yaw, pitch, roll)
-    return times, errors
+    return times, epoch_errors(dataset, times,
+                               [st.X.rot for st in trajectory],
+                               [st.X.v for st in trajectory])
 
 
 def convergence_time(times, series, threshold):
@@ -104,7 +114,7 @@ class RunReport:
         }
 
 
-def make_report(times, error_stack, thresholds=DEFAULT_THRESHOLDS):
+def make_report(times, error_stack):
     """RunReport from stacked per-run errors (n_runs, n_epochs, 6)."""
     error_stack = np.asarray(error_stack)
     post = times >= POST_WINDOW_START
@@ -115,7 +125,7 @@ def make_report(times, error_stack, thresholds=DEFAULT_THRESHOLDS):
         rms_post[name] = (float(np.sqrt(np.mean(col[:, post]**2)))
                           if post.any() else None)
         worst = np.max(np.abs(col), axis=0)
-        conv[name] = convergence_time(times, worst, thresholds[name])
+        conv[name] = convergence_time(times, worst, DEFAULT_THRESHOLDS[name])
     return RunReport(rms_full, rms_post, conv,
                      error_stack.shape[0], float(times[-1]))
 
@@ -124,14 +134,13 @@ def initial_state_for_run(dataset, rng):
     """Truth-based initial state with a drawn velocity/orientation error."""
     dv, dphi = initial_error_draw(rng)
     X0 = dataset.initial_group_element()
-    from .liegroup import GroupElement
     X = GroupElement.from_parts(so3_exp(dphi) @ X0.rot, X0.v + dv, X0.p, X0.pc)
     return FilterState(X, BiasState(), run_covariance(), 0.0)
 
 
-def monte_carlo(dataset, variant, noise, n_runs, seed, model=None):
+def monte_carlo(dataset, variant, noise, n_runs, seed):
     """Run the filter n_runs times with independent initial-error draws."""
-    model = model or VirtualLeg()
+    model = VirtualLeg()
     rng = np.random.default_rng(seed)
     trajectories = []
     for _ in range(n_runs):
@@ -160,8 +169,10 @@ def load_trajectory_arrays(path):
     """Times, rotations, velocities from a trajectory JSONL file."""
     ts, rots, vs = [], [], []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             rec = json.loads(line)
+            if not {"t", "quat", "v"} <= rec.keys():
+                raise ValueError(f"{path}:{n}: not a trajectory record")
             ts.append(rec["t"])
             rots.append(quat_to_rot(rec["quat"]))
             vs.append(rec["v"])
@@ -176,24 +187,11 @@ _FLOAT_KEYS = {
     "duration", "imu_rate", "meas_rate", "orient_rate", "step_period",
     "stride_width", "base_height",
 }
-_NOISE_KEYS = {
-    "sd_gyro", "sd_accel", "sd_bias_gyro", "sd_bias_accel", "sd_contact_vel",
-}
 
 
 def parse_scenario_config(path):
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
-            key, raw = (s.strip() for s in line.split("=", 1))
-            values[key] = raw
+    noise_kwargs, values = read_config(path)
     kwargs = {}
-    noise_kwargs = {}
     for key, raw in values.items():
         if key in _PROFILE_KEYS:
             if raw.endswith(".csv"):
@@ -208,12 +206,6 @@ def parse_scenario_config(path):
             kwargs[key] = raw.lower() in ("1", "true", "yes")
         elif key in _FLOAT_KEYS:
             kwargs[key] = float(raw)
-        elif key in _NOISE_KEYS:
-            noise_kwargs[key] = float(raw)
-        elif key == "sd_encoder_deg":
-            noise_kwargs["sd_encoder"] = math.radians(float(raw))
-        elif key == "sd_drs_orient_deg":
-            noise_kwargs["sd_drs_orient"] = math.radians(float(raw))
         else:
             raise ValueError(f"unknown config key: {key}")
     if noise_kwargs:
@@ -241,17 +233,19 @@ def cli_simulate(args):
 
 
 def cli_run(args):
-    import pathlib
     try:
         dataset = load_jsonl(args.dataset)
         variant = FilterVariant(args.variant)
+        trajectories = monte_carlo(dataset, variant, NoiseConfig(), args.runs,
+                                   args.seed)
+    except np.linalg.LinAlgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    noise = NoiseConfig()
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    trajectories = monte_carlo(dataset, variant, noise, args.runs, args.seed)
     error_stack = []
     times = None
     for i, traj in enumerate(trajectories):
@@ -293,12 +287,7 @@ def cli_eval(args):
         print("error: estimate and truth time ranges do not overlap",
               file=sys.stderr)
         return 1
-    errors = np.empty((ts.size, 6))
-    for i, t in enumerate(ts):
-        R_true, v_true, _, _ = interpolate_truth(dataset, t)
-        roll, pitch, yaw = error_angles(rots[i], R_true)
-        errors[i, :3] = vs[i] - v_true
-        errors[i, 3:] = (yaw, pitch, roll)
+    errors = epoch_errors(dataset, ts, rots, vs)
     report = make_report(ts, errors[None, :, :])
     out = report.to_dict()
     print(json.dumps(out, indent=2))

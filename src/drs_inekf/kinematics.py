@@ -24,8 +24,6 @@ E3 = np.array([0.0, 0.0, 1.0])
 class KinematicModel:
     """Interface: foot position/orientation and their Jacobians."""
 
-    ndof: int
-
     def h_p(self, q):
         raise NotImplementedError
 
@@ -49,14 +47,8 @@ class KinematicModel:
         return np.hstack([-self.J_hp(q_prev), self.J_hp(q_new)])
 
 
-def h_c_from_two_legs(model, q_prev, q_new):
-    return model.h_p(q_new) - model.h_p(q_prev)
-
-
 class VirtualLeg(KinematicModel):
     """q[:3] is the foot position, q[3:] the rotation log; invertible exactly."""
-
-    ndof = 6
 
     def h_p(self, q):
         return np.asarray(q, dtype=float)[:3].copy()
@@ -81,8 +73,6 @@ class VirtualLeg(KinematicModel):
 
 class SerialChain3(KinematicModel):
     """Three revolute joints (axes z, y, y) with links along x."""
-
-    ndof = 3
 
     def __init__(self, lengths=(1.0, 1.0, 1.0)):
         self.lengths = tuple(float(l) for l in lengths)

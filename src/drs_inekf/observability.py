@@ -12,20 +12,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 import scipy.linalg
 
-from .filter import E3, GRAVITY
-from .liegroup import skew
+from .filter import E3, error_jacobian_nobias, observation_row
+from .liegroup import so3_exp
 
 RANK_RTOL = 1e-8
-
-
-def error_jacobian_nobias(v_c=None):
-    """12x12 bias-free error Jacobian."""
-    A = np.zeros((12, 12))
-    A[3:6, 0:3] = skew(GRAVITY)
-    A[6:9, 3:6] = np.eye(3)
-    if v_c is not None:
-        A[9:12, 0:3] = skew(v_c)
-    return A
 
 
 def transition_matrix(A_nobias, dt):
@@ -34,23 +24,18 @@ def transition_matrix(A_nobias, dt):
 
 
 def measurement_rows(R_drs, include_orientation=True):
-    rows = []
-    if include_orientation:
-        H1 = np.zeros((3, 12))
-        H1[:, 0:3] = skew(R_drs @ E3)
-        rows.append(H1)
-    H2 = np.zeros((3, 12))
-    H2[:, 6:9] = -np.eye(3)
-    H2[:, 9:12] = np.eye(3)
-    rows.append(H2)
-    return np.vstack(rows)
+    """The filter's observation rows for a surface at orientation R_drs."""
+    kinds = ("orientation", "position") if include_orientation else ("position",)
+    return np.vstack([observation_row(kind, R_drs @ E3) for kind in kinds])
 
 
-def observability_matrix(R_drs, dt, n_blocks, v_c=None, include_orientation=True):
+def observability_matrix(R_drs, dt, n_blocks, include_orientation=True):
+    """Observation rows against powers of the filter's bias-free transition
+    matrix at zero contact velocity."""
     if n_blocks < 2:
         raise ValueError("n_blocks must be >= 2")
     H = measurement_rows(R_drs, include_orientation)
-    Phi = transition_matrix(error_jacobian_nobias(v_c), dt)
+    Phi = transition_matrix(error_jacobian_nobias(np.zeros(3)), dt)
     blocks = []
     Pk = np.eye(12)
     for _ in range(n_blocks):
@@ -119,11 +104,8 @@ def observability_report(R_drs, dt=1e-2, n_blocks=3, include_orientation=True):
                                dt, n_blocks, tilt)
 
 
-def tilt_sweep(tilts_rad, dt=1e-2, n_blocks=3, include_orientation=True):
+def tilt_sweep(tilts_rad, dt=1e-2, n_blocks=3):
     """Observability reports for surface pitch angles about the y-axis."""
-    from .liegroup import so3_exp
-    reports = []
-    for tilt in tilts_rad:
-        R = so3_exp(np.array([0.0, float(tilt), 0.0]))
-        reports.append(observability_report(R, dt, n_blocks, include_orientation))
-    return reports
+    return [observability_report(so3_exp(np.array([0.0, float(tilt), 0.0])),
+                                 dt, n_blocks)
+            for tilt in tilts_rad]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .filter import GRAVITY, integrate_mean
 from .kinematics import VirtualLeg
 from .liegroup import (GroupElement, quat_to_rot, rot_to_quat, so3_exp,
                        so3_left_jacobian_inv, so3_log)
-from .state import BiasState, NoiseConfig, default_noise_config
+from .state import BiasState, NoiseConfig
 
 _TWO_PI = 2.0 * math.pi
 
@@ -40,7 +40,7 @@ class ScenarioConfig:
     orient_rate: float | None = None             # surface-orientation stream rate;
                                                  # None = meas_rate, 0 = stream absent
     step_period: float = 0.8
-    noise: NoiseConfig = field(default_factory=default_noise_config)
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
     seed: int = 0
     contact_offset: tuple = (0.3, 0.0, 0.0)      # nominal foothold, surface frame (m)
     stride_width: float = 0.1                    # lateral foothold offset (m)
@@ -129,6 +129,13 @@ class _BaseReference:
         return so3_exp(rho)
 
 
+def _imu_increment(R0, R1, v0, v1, dt):
+    """Body rate and specific force that, held constant over dt, carry the
+    IMU motion model from (R0, v0) to (R1, v1)."""
+    w = so3_log(R0.T @ R1) / dt
+    return w, so3_left_jacobian_inv(w * dt) @ (R0.T @ (v1 - v0 - GRAVITY * dt)) / dt
+
+
 def imu_from_trajectory(times, rotations, velocities):
     """Exact-increment IMU synthesis from a sampled pose trajectory.
 
@@ -141,13 +148,9 @@ def imu_from_trajectory(times, rotations, velocities):
     omega = np.empty((n, 3))
     acc = np.empty((n, 3))
     for k in range(n):
-        dt = times[k + 1] - times[k]
-        Rk = rotations[k]
-        w = so3_log(Rk.T @ rotations[k + 1]) / dt
-        dv = velocities[k + 1] - velocities[k]
-        Jinv = so3_left_jacobian_inv(w * dt)
-        acc[k] = Jinv @ (Rk.T @ (dv - GRAVITY * dt)) / dt
-        omega[k] = w
+        omega[k], acc[k] = _imu_increment(rotations[k], rotations[k + 1],
+                                          velocities[k], velocities[k + 1],
+                                          times[k + 1] - times[k])
     return omega, acc
 
 
@@ -250,9 +253,7 @@ def generate(config):
     for k in range(n):
         t0, t1 = times[k], times[k + 1]
         # exact-increment inputs from the reference trajectory
-        w_k = so3_log(R.T @ base.rotation(t1)) / dt
-        dv = base.velocity(t1) - v
-        a_k = so3_left_jacobian_inv(w_k * dt) @ (R.T @ (dv - GRAVITY * dt)) / dt
+        w_k, a_k = _imu_increment(R, base.rotation(t1), v, base.velocity(t1), dt)
         vc_true = (drs_rot_true(t1) - drs_rot_true(t0)) @ pc_drs / dt
         vc_filt = (drs_rot_filt(t1) - drs_rot_filt(t0)) @ pc_drs / dt
 
@@ -356,27 +357,19 @@ def save_jsonl(dataset, path):
 def load_jsonl(path):
     """Reconstruct a ScenarioDataset from a JSON Lines file."""
     meta = None
-    truth, imu, cvel, enc, drs_q, switches = [], [], [], [], [], []
+    records = {kind: [] for kind in ("truth", "imu", "contact_vel", "encoder",
+                                     "drs_pose", "contact_switch")}
     with open(path) as fh:
         for line in fh:
             rec = json.loads(line)
             kind = rec.pop("type")
             if kind == "meta":
                 meta = rec
-            elif kind == "truth":
-                truth.append(rec)
-            elif kind == "imu":
-                imu.append(rec)
-            elif kind == "contact_vel":
-                cvel.append(rec)
-            elif kind == "encoder":
-                enc.append(rec)
-            elif kind == "drs_pose":
-                drs_q.append(rec)
-            elif kind == "contact_switch":
-                switches.append(rec)
+            elif kind in records:
+                records[kind].append(rec)
             else:
                 raise ValueError(f"unknown record type: {kind}")
+    truth, imu, cvel, enc, drs_q, switches = records.values()
     if meta is None:
         raise ValueError("dataset has no meta record")
     bias = np.array(meta.pop("bias", [0.0] * 6))

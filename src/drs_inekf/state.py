@@ -1,4 +1,4 @@
-"""Filter state, error state, covariance, and noise configuration.
+"""Filter state, covariance, and noise configuration.
 
 Covariance block order is fixed as (rotation, velocity, position, contact,
 gyro bias, accel bias), 3 components each, for an 18x18 matrix.
@@ -7,7 +7,7 @@ gyro bias, accel bias), 3 components each, for an 18x18 matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,15 +43,6 @@ class FilterState:
     P: np.ndarray
     t: float = 0.0
 
-    def with_time(self, t):
-        return replace(self, t=t)
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    xi: np.ndarray
-    zeta: np.ndarray
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -71,47 +62,53 @@ class NoiseConfig:
     sd_drs_orient: float = math.radians(1.0)   # rad
 
     def __post_init__(self):
-        for name in ("sd_gyro", "sd_accel", "sd_bias_gyro", "sd_bias_accel",
-                     "sd_contact_vel", "sd_encoder", "sd_drs_orient"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0.0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
 
-def default_noise_config():
-    return NoiseConfig()
+# config key -> NoiseConfig field; the "_deg" keys are given in degrees
+_NOISE_KEYS = {
+    **{name: name for name in ("sd_gyro", "sd_accel", "sd_bias_gyro",
+                               "sd_bias_accel", "sd_contact_vel")},
+    "sd_encoder_deg": "sd_encoder",
+    "sd_drs_orient_deg": "sd_drs_orient",
+}
 
 
-def load_noise_config(path):
-    """Read a key=value file; keys sd_encoder_deg / sd_drs_orient_deg are degrees."""
-    values = {}
+def read_config(path):
+    """Read a ``key = value`` file; ``#`` starts a comment.
+
+    Returns the NoiseConfig keyword arguments set by noise keys and the raw
+    strings of all other keys.
+    """
+    noise, other = {}, {}
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed line in noise config: {line!r}")
+                raise ValueError(f"malformed config line: {line!r}")
             key, raw = (s.strip() for s in line.split("=", 1))
-            values[key] = float(raw)
-    kwargs = {}
-    for key, val in values.items():
-        if key == "sd_encoder_deg":
-            kwargs["sd_encoder"] = math.radians(val)
-        elif key == "sd_drs_orient_deg":
-            kwargs["sd_drs_orient"] = math.radians(val)
-        elif key in ("sd_gyro", "sd_accel", "sd_bias_gyro", "sd_bias_accel",
-                     "sd_contact_vel"):
-            kwargs[key] = val
-        else:
-            raise ValueError(f"unknown noise config key: {key}")
-    return NoiseConfig(**kwargs)
+            if key in _NOISE_KEYS:
+                val = float(raw)
+                noise[_NOISE_KEYS[key]] = (math.radians(val)
+                                          if key.endswith("_deg") else val)
+            else:
+                other[key] = raw
+    return noise, other
 
 
-def initial_covariance():
-    return np.eye(18)
+def load_noise_config(path):
+    """Read a key=value file; keys sd_encoder_deg / sd_drs_orient_deg are degrees."""
+    noise, other = read_config(path)
+    if other:
+        raise ValueError(f"unknown noise config key: {next(iter(other))}")
+    return NoiseConfig(**noise)
 
 
-def run_covariance(var_pose=1.0, var_bias_gyro=1e-6, var_bias_accel=1e-4):
+def run_covariance(var_pose=1.0):
     """Initial covariance for filter runs.
 
     The pose blocks keep the unit prior; the bias blocks get priors on the
@@ -120,9 +117,8 @@ def run_covariance(var_pose=1.0, var_bias_gyro=1e-6, var_bias_accel=1e-4):
     outside its validity domain and destabilizes the filter, so runs use
     these tighter bias priors.
     """
-    diag = np.concatenate([np.full(12, var_pose),
-                           np.full(3, var_bias_gyro),
-                           np.full(3, var_bias_accel)])
+    diag = np.concatenate([np.full(12, var_pose), np.full(3, 1e-6),
+                           np.full(3, 1e-4)])
     return np.diag(diag)
 
 

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from drs_inekf.drs import (PitchProfile, contact_point_velocity,
-                           corrupt_drs_orientation, drs_pose_at, make_profile,
-                           profile_from_csv)
-from drs_inekf.liegroup import so3_exp, so3_log
+from drs_inekf.drs import (PitchProfile, contact_point_velocity, drs_pose_at,
+                           make_profile, profile_from_csv)
+from drs_inekf.liegroup import so3_exp
 
 
 def test_constant_profile():
@@ -112,19 +111,11 @@ def test_pose_rotation_about_y_axis():
     assert np.allclose(drs.R_drs, so3_exp(np.array([0.0, theta, 0.0])),
                        atol=1e-12)
     assert np.allclose(drs.omega_drs, [0.0, rate, 0.0], atol=1e-12)
-    assert np.allclose(drs.v_drs, 0.0, atol=1e-14)
 
 
 def test_pose_rejects_negative_time():
     with pytest.raises(ValueError):
         drs_pose_at(make_profile("TM2"), -0.1)
-
-
-def test_pivot_offset_velocity():
-    prof = make_profile("TM2")
-    drs = drs_pose_at(prof, 0.3, pivot_offset=np.array([0.5, 0.0, 0.0]))
-    expect = np.cross(drs.omega_drs, drs.R_drs @ np.array([0.5, 0.0, 0.0]))
-    assert np.allclose(drs.v_drs, expect, atol=1e-12)
 
 
 def test_contact_point_velocity_matches_numeric_derivative():
@@ -137,11 +128,3 @@ def test_contact_point_velocity_matches_numeric_derivative():
         p_minus = drs_pose_at(prof, t - eps).R_drs @ pc
         num = (p_plus - p_minus) / (2 * eps)
         assert np.allclose(contact_point_velocity(drs, pc), num, atol=1e-6)
-
-
-def test_corrupt_orientation_left_perturbation():
-    rng = np.random.default_rng(0)
-    R = drs_pose_at(make_profile("TM2"), 0.7).R_drs
-    w = 0.01 * rng.standard_normal(3)
-    Rn = corrupt_drs_orientation(R, w)
-    assert np.allclose(so3_log(Rn @ R.T), w, atol=1e-6)

@@ -343,3 +343,17 @@ def test_run_variant_rejects_disordered_streams():
                      run_covariance(), 0.0)
     with pytest.raises(ValueError):
         run_variant(st, ds, FilterVariant.DRS, VirtualLeg(), NoiseConfig())
+
+
+@pytest.mark.parametrize("stream", ["switch_t", "meas_t"])
+def test_run_variant_rejects_two_events_on_one_imu_step(stream):
+    # the second event used to replace the first without notice
+    cfg = ScenarioConfig(profile=PitchProfile(kind="TM2"), duration=2.0,
+                         meas_rate=10.0, seed=0)
+    ds = generate(cfg)
+    times = getattr(ds, stream)
+    times[1] = times[0] + 0.1 * ds.dt
+    st = FilterState(ds.initial_group_element(), BiasState(),
+                     run_covariance(), 0.0)
+    with pytest.raises(ValueError, match="one IMU step"):
+        run_variant(st, ds, FilterVariant.DRS, VirtualLeg(), NoiseConfig())

@@ -203,6 +203,46 @@ def test_cli_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("stream, message", [
+    ("imu_t", "IMU stream timestamps out of order"),
+    ("switch_t", "two contact switch events fall on one IMU step")],
+    ids=["imu_t", "switch_t"])
+def test_cli_run_maps_filter_input_errors_to_exit_1(tmp_path, capsys,
+                                                    stream, message):
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=2.0, meas_rate=10.0, seed=2))
+    times = getattr(ds, stream)
+    times[1] = times[0]
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    assert main(["run", "--dataset", str(data),
+                 "--out", str(tmp_path / "runs")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_run_maps_diverging_filter_to_exit_2(tmp_path, capsys):
+    # finite but absurd accelerations overflow the covariance, and the
+    # conditioning check in the update then fails inside LAPACK
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=1.0, meas_rate=10.0, seed=2))
+    ds.imu_acc[:] = 1e200
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    with np.errstate(all="ignore"):
+        assert main(["run", "--dataset", str(data),
+                     "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_eval_rejects_dataset_as_estimate(tmp_path, capsys):
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=1.0, meas_rate=10.0, seed=2))
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    assert main(["eval", "--truth", str(data), "--estimate", str(data)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_eval_rejects_disjoint_time_ranges(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("profile = TM2\nduration = 1.0\nmeas_rate = 10\nseed = 2\n")

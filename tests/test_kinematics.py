@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from drs_inekf.kinematics import (E3, SerialChain3, VirtualLeg,
-                                  h_c_from_two_legs, numeric_jacobian)
+from drs_inekf.kinematics import E3, SerialChain3, VirtualLeg, numeric_jacobian
 from drs_inekf.liegroup import so3_exp, so3_log
 
 
@@ -71,7 +70,6 @@ def test_jump_displacement_consistency():
         q_new = rng.uniform(-1.0, 1.0, 6)
         stacked = np.concatenate([q_prev, q_new])
         hc = leg.h_c(stacked)
-        assert np.allclose(hc, h_c_from_two_legs(leg, q_prev, q_new), atol=1e-12)
         assert np.allclose(hc, leg.h_p(q_new) - leg.h_p(q_prev), atol=1e-12)
 
 

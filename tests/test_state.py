@@ -1,14 +1,16 @@
 """State container, covariance, and noise configuration contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drs_inekf.harness import parse_scenario_config
 from drs_inekf.liegroup import sek3_exp, compose
 from drs_inekf.state import (IDX_BA, IDX_BG, IDX_CONTACT, IDX_POS, IDX_ROT,
-                             IDX_VEL, BiasState, FilterState, NoiseConfig,
-                             default_noise_config, initial_covariance,
+                             IDX_VEL, BiasState, NoiseConfig,
                              load_noise_config, right_invariant_error,
                              run_covariance, symmetrize)
 
@@ -29,14 +31,8 @@ def test_bias_state_vector_roundtrip():
     assert np.allclose(BiasState().as_vector(), np.zeros(6))
 
 
-def test_filter_state_with_time():
-    st = FilterState(X=None, theta=BiasState(), P=np.eye(18), t=0.0)
-    st2 = st.with_time(2.5)
-    assert st2.t == 2.5 and st.t == 0.0
-
-
 def test_noise_config_defaults_and_validation():
-    n = default_noise_config()
+    n = NoiseConfig()
     assert n.sd_gyro == 0.01
     assert n.sd_accel == 0.4
     assert n.sd_contact_vel == 0.01
@@ -71,8 +67,29 @@ def test_load_noise_config_rejects_malformed_line(tmp_path):
         load_noise_config(path)
 
 
-def test_initial_covariance_is_identity():
-    assert np.array_equal(initial_covariance(), np.eye(18))
+_SD = st.floats(0.0, 10.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.builds(NoiseConfig, sd_gyro=_SD, sd_accel=_SD, sd_bias_gyro=_SD,
+                 sd_bias_accel=_SD, sd_contact_vel=_SD,
+                 sd_encoder=st.floats(0.0, 0.5),
+                 sd_drs_orient=st.floats(0.0, 0.5)))
+def test_noise_config_roundtrip_through_both_readers(tmp_path_factory, noise):
+    # the shared reader: both config files read the noise keys the same way,
+    # with the two angular SDs written in degrees
+    lines = []
+    for name, val in dataclasses.asdict(noise).items():
+        if name in ("sd_encoder", "sd_drs_orient"):
+            lines.append(f"{name}_deg = {math.degrees(val)!r}")
+        else:
+            lines.append(f"{name} = {val!r}")
+    path = tmp_path_factory.mktemp("cfg") / "noise.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    expect = np.array(dataclasses.astuple(noise))
+    for got in (load_noise_config(path), parse_scenario_config(path).noise):
+        assert np.allclose(dataclasses.astuple(got), expect, rtol=0.0,
+                           atol=1e-12)
 
 
 def test_run_covariance_structure():
