@@ -1,9 +1,10 @@
 """Right-invariant EKF for legged locomotion on a moving rigid surface.
 
-Continuous phases propagate the mean with RK4 and the 18x18 covariance with
-a first-order transition of the Riccati equation; corrections use the right-invariant
-observation form (surface-normal alignment and leg-odometry position); foot
-landings apply a group-action jump with encoder-driven covariance inflation.
+Continuous phases propagate the mean with its exact constant-input flow and
+the 18x18 covariance with a first-order transition of the Riccati equation;
+corrections use the right-invariant observation form (surface-normal
+alignment and leg-odometry position); foot landings apply a group-action jump
+with encoder-driven covariance inflation.
 
 The ``SRS`` variant models the contact point as static (zero contact
 velocity) and drops the orientation observation, reproducing the
@@ -18,8 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .liegroup import (GroupElement, compose, sek3_exp, skew,
-                       project_rotation)
+from .liegroup import GroupElement, compose, sek3_exp, skew
 from .state import BiasState, FilterState, symmetrize
 from . import liegroup
 
@@ -31,7 +31,6 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 MAX_DT = 0.1
 COND_LIMIT = 1e12
-ORTHO_TOL = 1e-8
 
 
 class FilterVariant(Enum):
@@ -71,41 +70,28 @@ class Observation:
     N: np.ndarray
 
 
-def _mean_derivative(M, omega, acc, v_c):
-    """Time derivative of M = (rotation | v p pc), bias-corrected inputs."""
-    R = M[:, :3]
-    dM = np.empty((3, 6))
-    dM[:, :3] = R @ skew(omega)
-    dM[:, 3] = R @ acc + GRAVITY
-    dM[:, 4] = M[:, 3]
-    dM[:, 5] = v_c
-    return dM
-
-
 def integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt):
-    """One RK4 step of the deterministic process with constant inputs."""
-    omega = omega_tilde - theta.b_omega
+    """Exact flow of the deterministic process over dt with constant inputs
+    (the Gamma-function discretization of Hartley et al., IJRR 2020)."""
+    phi = (omega_tilde - theta.b_omega) * dt
     acc = a_tilde - theta.b_acc
-    M = np.hstack([X.rot, X.cols])
-    k1 = _mean_derivative(M, omega, acc, v_c)
-    k2 = _mean_derivative(M + 0.5 * dt * k1, omega, acc, v_c)
-    k3 = _mean_derivative(M + 0.5 * dt * k2, omega, acc, v_c)
-    k4 = _mean_derivative(M + dt * k3, omega, acc, v_c)
-    M = M + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    R = M[:, :3]
-    err = R @ R.T - np.eye(3)
-    if np.abs(err).max() > ORTHO_TOL:
-        R = project_rotation(R)
-    return GroupElement(R, M[:, 3:].copy())
+    R, v = X.rot, X.v
+    acc1 = R @ (liegroup.so3_left_jacobian(phi) @ acc)
+    acc2 = R @ (liegroup.so3_gamma2(phi) @ acc)
+    cols = np.column_stack([v + (acc1 + GRAVITY) * dt,
+                            X.p + v * dt + (acc2 + 0.5 * GRAVITY) * dt**2,
+                            X.pc + v_c * dt])
+    return GroupElement(R @ liegroup.so3_exp(phi), cols)
 
 
 def dynamics_matrix(X, theta, imu, v_c):
-    """The process vector field that ``integrate_mean`` integrates, as a 6x6
+    """The process vector field whose flow ``integrate_mean`` takes, as a 6x6
     matrix (group-affine form)."""
     F = np.zeros((6, 6))
-    F[:3] = _mean_derivative(np.hstack([X.rot, X.cols]),
-                             imu.omega_tilde - theta.b_omega,
-                             imu.a_tilde - theta.b_acc, v_c)
+    F[:3, :3] = X.rot @ skew(imu.omega_tilde - theta.b_omega)
+    F[:3, 3] = X.rot @ (imu.a_tilde - theta.b_acc) + GRAVITY
+    F[:3, 4] = X.v
+    F[:3, 5] = v_c
     return F
 
 
@@ -156,7 +142,8 @@ def process_noise_covariance(state, noise, dt):
 
 
 def propagate(state, inp, noise, variant=FilterVariant.DRS):
-    """One continuous-phase propagation step (mean RK4, Riccati Euler)."""
+    """One continuous-phase propagation step (exact mean flow, first-order
+    covariance transition)."""
     inp.validate()
     v_c = np.zeros(3) if variant is FilterVariant.SRS else inp.v_c_tilde
     A = error_jacobian(state, v_c)

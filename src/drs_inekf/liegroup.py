@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SMALL_ANGLE = 1e-6
+_SERIES_ANGLE_SQ = 1e-2
 
 
 def skew(v):
@@ -108,16 +109,41 @@ def so3_log(R):
     return angle * axis
 
 
+def _gamma_coefficients(angle):
+    """(c1, c2, c3) such that, with K = skew(phi) and angle = |phi|,
+    Gamma_1 = I + c1 K + c2 K^2 and Gamma_2 = I/2 + c2 K + c3 K^2.
+
+    The closed forms cancel at small angles, so a power series takes over
+    there; five terms are exact to rounding below its threshold.
+    """
+    t = angle * angle
+    if t < _SERIES_ANGLE_SQ:
+        c1 = (1.0 - t / 12.0 * (1.0 - t / 30.0 * (1.0 - t / 56.0 * (1.0 - t / 90.0)))) / 2.0
+        c2 = (1.0 - t / 20.0 * (1.0 - t / 42.0 * (1.0 - t / 72.0 * (1.0 - t / 110.0)))) / 6.0
+        c3 = (1.0 - t / 30.0 * (1.0 - t / 56.0 * (1.0 - t / 90.0 * (1.0 - t / 132.0)))) / 24.0
+        return c1, c2, c3
+    s = np.sin(0.5 * angle)
+    c1 = 2.0 * s * s / t                          # (1 - cos)/angle^2
+    c2 = (angle - np.sin(angle)) / (angle * t)
+    return c1, c2, (0.5 - c1) / t                 # (angle^2/2 + cos - 1)/angle^4
+
+
 def so3_left_jacobian(phi):
-    """Left Jacobian of SO(3); maps tangent columns in the extended exp."""
+    """Left Jacobian of SO(3), Gamma_1 = sum K^n/(n+1)!; maps tangent columns
+    in the extended exp."""
     phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
+    c1, c2, _ = _gamma_coefficients(np.linalg.norm(phi))
     K = skew(phi)
-    if angle < _SMALL_ANGLE:
-        return np.eye(3) + (0.5 - angle**2 / 24.0) * K + (1.0 / 6.0 - angle**2 / 120.0) * (K @ K)
-    c1 = (1.0 - np.cos(angle)) / angle**2
-    c2 = (angle - np.sin(angle)) / angle**3
     return np.eye(3) + c1 * K + c2 * (K @ K)
+
+
+def so3_gamma2(phi):
+    """Gamma_2 = sum K^n/(n+2)!, the double time integral of exp(s K), which
+    carries a constant specific force into the position."""
+    phi = np.asarray(phi, dtype=float)
+    _, c2, c3 = _gamma_coefficients(np.linalg.norm(phi))
+    K = skew(phi)
+    return 0.5 * np.eye(3) + c2 * K + c3 * (K @ K)
 
 
 def so3_left_jacobian_inv(phi):
@@ -128,13 +154,6 @@ def so3_left_jacobian_inv(phi):
         return np.eye(3) - 0.5 * K + (1.0 / 12.0 + angle**2 / 720.0) * (K @ K)
     c = 1.0 / angle**2 - (1.0 + np.cos(angle)) / (2.0 * angle * np.sin(angle))
     return np.eye(3) - 0.5 * K + c * (K @ K)
-
-
-def project_rotation(R):
-    """Nearest rotation matrix (polar decomposition via SVD)."""
-    U, _, Vt = np.linalg.svd(R)
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
-    return U @ D @ Vt
 
 
 @dataclass(frozen=True)

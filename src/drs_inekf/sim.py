@@ -374,6 +374,16 @@ def load_jsonl(path):
         raise ValueError("dataset has no meta record")
     bias = np.array(meta.pop("bias", [0.0] * 6))
     dt = meta.pop("dt")
+    if not imu:
+        raise ValueError("dataset has no IMU records")
+    if len(cvel) != len(imu):
+        raise ValueError(f"dataset has {len(cvel)} contact_vel records for "
+                         f"{len(imu)} IMU records")
+    # the filter is scored up to the end of the last IMU step
+    tol = 0.25 * dt
+    if not truth or truth[0]["t"] > imu[0]["t"] + tol \
+            or truth[-1]["t"] < imu[-1]["t"] + dt - tol:
+        raise ValueError("truth records do not span the IMU window")
     return ScenarioDataset(
         dt=dt,
         truth_t=np.array([r["t"] for r in truth]),

@@ -74,6 +74,23 @@ def test_bias_subtraction_in_mean_integration():
     assert np.allclose(out.as_matrix(), ref.as_matrix(), atol=1e-14)
 
 
+def test_mean_flow_is_a_semigroup():
+    # an exact flow over dt equals two flows over dt/2 with the same inputs;
+    # a Runge-Kutta step misses this by its local error
+    rng = np.random.default_rng(5)
+    dt = 0.05
+    for _ in range(50):
+        X = sek3_exp(rng.uniform(-1.0, 1.0, 12))
+        b = BiasState(0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(3))
+        w = rng.uniform(-3.0, 3.0, 3)
+        a = rng.uniform(-10.0, 10.0, 3)
+        vc = rng.standard_normal(3)
+        one = integrate_mean(X, b, w, a, vc, dt)
+        half = integrate_mean(X, b, w, a, vc, dt / 2)
+        two = integrate_mean(half, b, w, a, vc, dt / 2)
+        assert np.abs(one.as_matrix() - two.as_matrix()).max() < 1e-12
+
+
 def test_rotation_stays_orthogonal_over_long_integration():
     rng = np.random.default_rng(1)
     X = GroupElement.identity()

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import drs_inekf
 from drs_inekf.drs import PitchProfile
 from drs_inekf.filter import FilterVariant, run_variant
 from drs_inekf.harness import (DEFAULT_THRESHOLDS, ERROR_VARS,
@@ -232,6 +237,50 @@ def test_cli_run_maps_diverging_filter_to_exit_2(tmp_path, capsys):
         assert main(["run", "--dataset", str(data),
                      "--out", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, kind, count, message", [
+    ("run", "contact_vel", 9,
+     "dataset has 391 contact_vel records for 400 IMU records"),
+    ("run", None, None, "dataset has no IMU records"),
+    ("eval", None, None, "dataset has no IMU records"),
+    ("run", "truth", 100, "truth records do not span the IMU window")],
+    ids=["run-short-contact-vel", "run-meta-only", "eval-meta-only",
+         "run-short-truth"])
+def test_cli_rejects_incomplete_dataset(tmp_path, capsys, command, kind,
+                                        count, message):
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=2.0, meas_rate=10.0, seed=2))
+    full = tmp_path / "full.jsonl"
+    save_jsonl(ds, full)
+    lines = full.read_text().splitlines(keepends=True)
+    kinds = [json.loads(line)["type"] for line in lines]
+    if kind is None:    # the meta record alone
+        drop = {i for i, k in enumerate(kinds) if k != "meta"}
+    else:               # the last count records of one kind cut
+        drop = set([i for i, k in enumerate(kinds) if k == kind][-count:])
+    data = tmp_path / "scenario.jsonl"
+    data.write_text("".join(line for i, line in enumerate(lines)
+                            if i not in drop))
+    if command == "run":
+        argv = ["run", "--dataset", str(data), "--out", str(tmp_path / "runs")]
+    else:
+        est = tmp_path / "est.jsonl"
+        est.write_text(json.dumps({"t": 0.5, "quat": [1, 0, 0, 0],
+                                   "v": [0, 0, 0]}) + "\n")
+        argv = ["eval", "--truth", str(data), "--estimate", str(est)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_package_import_leaves_scipy_unloaded():
+    src = pathlib.Path(drs_inekf.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, drs_inekf; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_eval_rejects_dataset_as_estimate(tmp_path, capsys):

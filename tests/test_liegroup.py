@@ -5,10 +5,10 @@ import pytest
 import scipy.linalg
 
 from drs_inekf.liegroup import (GroupElement, adjoint, compose, inverse,
-                                project_rotation, quat_to_rot, rot_to_quat,
-                                sek3_exp, sek3_hat, sek3_log, sek3_vee, skew,
-                                so3_exp, so3_left_jacobian,
-                                so3_left_jacobian_inv, so3_log, unskew)
+                                quat_to_rot, rot_to_quat, sek3_exp, sek3_hat,
+                                sek3_log, sek3_vee, skew, so3_exp, so3_gamma2,
+                                so3_left_jacobian, so3_left_jacobian_inv,
+                                so3_log, unskew)
 
 
 def random_rotation(rng):
@@ -89,14 +89,19 @@ def test_left_jacobian_differentiates_exp():
         assert np.allclose(num, ana, atol=1e-6)
 
 
-def test_project_rotation_restores_orthogonality():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        R = random_rotation(rng) + 1e-4 * rng.standard_normal((3, 3))
-        P = project_rotation(R)
-        assert np.allclose(P @ P.T, np.eye(3), atol=1e-12)
-        assert np.isclose(np.linalg.det(P), 1.0, atol=1e-12)
-        assert np.abs(P - R).max() < 1e-3
+@pytest.mark.parametrize("angle", [0.0, 1e-8, 1e-6, 3e-6, 1e-5, 1e-4, 1e-3,
+                                   0.0999, 0.1001, 0.3, 1.0, 3.0])
+def test_gamma_functions_match_block_exponential(angle):
+    # expm([[K, I, 0], [0, 0, I], [0, 0, 0]]) carries Gamma_1 = J_l in its
+    # top-middle block and Gamma_2 in its top-right block; the angles cover
+    # both sides of the series switch at 0.1 and the old 1e-6 branch
+    phi = angle * np.array([0.6, -0.48, 0.64])
+    M = np.zeros((9, 9))
+    M[:3, :3] = skew(phi)
+    M[:3, 3:6] = M[3:6, 6:9] = np.eye(3)
+    E = scipy.linalg.expm(M)
+    assert np.abs(so3_left_jacobian(phi) - E[:3, 3:6]).max() < 1e-14
+    assert np.abs(so3_gamma2(phi) - E[:3, 6:9]).max() < 1e-14
 
 
 def test_group_element_matrix_roundtrip_and_parts():

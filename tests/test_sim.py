@@ -146,9 +146,8 @@ def test_imu_from_trajectory_inverts_integration():
     X = GroupElement.from_parts(rots[0], vels[0], np.zeros(3), np.zeros(3))
     for k in range(n):
         X = integrate_mean(X, BiasState(), omega[k], acc[k], np.zeros(3), dt)
-        # limited by the fifth-order local error of the integrator
-        assert np.abs(X.rot - rots[k + 1]).max() < 1e-6
-        assert np.abs(X.v - vels[k + 1]).max() < 1e-6
+        assert np.abs(X.rot - rots[k + 1]).max() < 1e-12
+        assert np.abs(X.v - vels[k + 1]).max() < 1e-12
 
 
 def test_initial_error_draw_bounds():
