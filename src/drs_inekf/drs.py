@@ -1,4 +1,4 @@
-"""Dynamic-rigid-surface environment: treadmill pitch profiles and rates.
+"""Dynamic-rigid-surface environment: treadmill pitch profiles and poses.
 
 The surface rotates about the world y-axis through a pivot at the world
 origin.  Profiles:
@@ -7,6 +7,8 @@ origin.  Profiles:
   TM3  TM1 shape + 5.1 deg + 1.7 deg * sin(pi t)
 The TM1 hold/ramp durations are reconstructed (2.8 s holds, 0.5 s ramps);
 the published waveform is not available, so they are parameters.
+
+Angles and poses are evaluated for a scalar time or a whole time array.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liegroup import so3_exp
-
-
-@dataclass(frozen=True)
-class DrsState:
-    R_drs: np.ndarray
-    omega_drs: np.ndarray
-    t: float
+# not called here: the perfbench tracer wraps drs_inekf.drs.so3_exp
+from .liegroup import so3_exp  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -41,50 +37,37 @@ class PitchProfile:
     table_t: tuple = field(default=())     # custom: times (s)
     table_deg: tuple = field(default=())   # custom: angles (deg)
 
-    def angle_and_rate(self, t):
-        """Pitch angle (rad) and rate (rad/s) at time t."""
+    def angle(self, t):
+        """Pitch angle (rad) at time t, a scalar or an array."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return math.radians(self.constant_deg), 0.0
+            return np.full(t.shape, math.radians(self.constant_deg))
         if self.kind == "TM2":
-            amp = math.radians(self.amp_deg)
-            return amp * math.sin(self.freq * t), amp * self.freq * math.cos(self.freq * t)
+            return math.radians(self.amp_deg) * np.sin(self.freq * t)
         if self.kind == "TM1":
             return self._trapezoid(t)
         if self.kind == "TM3":
-            theta, rate = self._trapezoid(t)
             wob = math.radians(self.wobble_deg)
-            theta += math.radians(self.offset_deg) + wob * math.sin(self.freq * t)
-            rate += wob * self.freq * math.cos(self.freq * t)
-            return theta, rate
+            return self._trapezoid(t) + (math.radians(self.offset_deg)
+                                         + wob * np.sin(self.freq * t))
         if self.kind == "custom":
-            return self._from_table(t)
+            if len(self.table_t) < 2:
+                raise ValueError("custom profile needs at least two table rows")
+            return np.interp(t, self.table_t, np.radians(self.table_deg))
         raise ValueError(f"unknown pitch profile kind: {self.kind}")
 
     def _trapezoid(self, t):
         hold = math.radians(self.hold_deg)
         period = 2.0 * (self.hold_s + self.ramp_s)
-        tau = (t + self.phase_s) % period
         rate = 2.0 * hold / self.ramp_s
-        if tau < self.hold_s:
-            return -hold, 0.0
-        tau -= self.hold_s
-        if tau < self.ramp_s:
-            return -hold + rate * tau, rate
-        tau -= self.ramp_s
-        if tau < self.hold_s:
-            return hold, 0.0
-        tau -= self.hold_s
-        return hold - rate * tau, -rate
-
-    def _from_table(self, t):
-        ts = np.asarray(self.table_t, dtype=float)
-        angles = np.radians(np.asarray(self.table_deg, dtype=float))
-        if ts.size < 2:
-            raise ValueError("custom profile needs at least two table rows")
-        theta = float(np.interp(t, ts, angles))
-        i = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2))
-        rate = (angles[i + 1] - angles[i]) / (ts[i + 1] - ts[i])
-        return theta, float(rate)
+        # time into the rising hold, the rising ramp, the upper hold and the
+        # falling ramp, each measured from the start of its segment
+        tau1 = (t + self.phase_s) % period
+        tau2 = tau1 - self.hold_s
+        tau3 = tau2 - self.ramp_s
+        tau4 = tau3 - self.hold_s
+        return np.select([tau1 < self.hold_s, tau2 < self.ramp_s, tau3 < self.hold_s],
+                         [-hold, -hold + rate * tau2, hold], hold - rate * tau4)
 
 
 def profile_from_csv(path):
@@ -101,17 +84,19 @@ def make_profile(name):
 
 
 def drs_pose_at(profile, t):
-    """Surface orientation and angular velocity at time t.
+    """Surface orientation at time t: the pitch rotation about the world
+    y-axis, (3, 3) for a scalar t and (n, 3, 3) for n times.
 
     The surface frame origin is the rotation pivot, so it does not move.
     """
-    if t < 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("t must be nonnegative")
-    theta, rate = profile.angle_and_rate(t)
-    R = so3_exp(np.array([0.0, theta, 0.0]))
-    return DrsState(R_drs=R, omega_drs=np.array([0.0, rate, 0.0]), t=float(t))
-
-
-def contact_point_velocity(drs, p_c_in_drs):
-    """World-frame velocity of a point fixed in the rotating surface frame."""
-    return np.cross(drs.omega_drs, drs.R_drs @ np.asarray(p_c_in_drs, dtype=float))
+    theta = profile.angle(t)
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.zeros(t.shape + (3, 3))
+    R[..., 0, 0] = R[..., 2, 2] = c
+    R[..., 0, 2] = s
+    R[..., 2, 0] = -s
+    R[..., 1, 1] = 1.0
+    return R

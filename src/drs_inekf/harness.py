@@ -283,8 +283,10 @@ def cli_eval(args):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if ts.size == 0 or ts[0] > dataset.truth_t[-1] or ts[-1] < dataset.truth_t[0]:
-        print("error: estimate and truth time ranges do not overlap",
+    tol = 0.25 * dataset.dt     # load_jsonl's tolerance; a NaN epoch fails too
+    if not (ts.size and ts.min() >= dataset.truth_t[0] - tol
+            and ts.max() <= dataset.truth_t[-1] + tol):
+        print("error: estimate epochs lie outside the truth window",
               file=sys.stderr)
         return 1
     errors = epoch_errors(dataset, ts, rots, vs)

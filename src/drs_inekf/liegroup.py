@@ -75,8 +75,12 @@ def rot_to_quat(R):
 
 
 def quat_to_rot(q):
-    """Unit quaternion (w, x, y, z) to rotation matrix."""
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    """Quaternion (w, x, y, z), normalised here, to rotation matrix."""
+    q = np.asarray(q, dtype=float)
+    norm = np.linalg.norm(q)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"quaternion {q.tolist()} has no finite nonzero norm")
+    w, x, y, z = q / norm
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],

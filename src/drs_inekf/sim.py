@@ -9,6 +9,9 @@ explainable by the filter's models.
 The contact point is fixed in the surface frame during each stance; stepping
 (RM1) switches the support foot between two lateral footholds at a fixed
 period, with switch times kept off the measurement grid.
+
+Everything but the truth is evaluated on the whole time grid, and all noise
+comes from one draw, sliced in the order a step-by-step draw would take it.
 """
 
 from __future__ import annotations
@@ -124,16 +127,10 @@ class _BaseReference:
     def velocity(self, t):
         return self.pos_amp * self.pos_freq * np.cos(self.pos_freq * t + self.pos_phase)
 
-    def rotation(self, t):
+    def rotations(self, t):
+        """(n, 3, 3) rotations at a column of n times."""
         rho = self.rot_amp * np.sin(self.rot_freq * t + self.rot_phase)
-        return so3_exp(rho)
-
-
-def _imu_increment(R0, R1, v0, v1, dt):
-    """Body rate and specific force that, held constant over dt, carry the
-    IMU motion model from (R0, v0) to (R1, v1)."""
-    w = so3_log(R0.T @ R1) / dt
-    return w, so3_left_jacobian_inv(w * dt) @ (R0.T @ (v1 - v0 - GRAVITY * dt)) / dt
+        return np.array([so3_exp(r) for r in rho])
 
 
 def imu_from_trajectory(times, rotations, velocities):
@@ -143,14 +140,15 @@ def imu_from_trajectory(times, rotations, velocities):
     integrating the IMU motion model with constant inputs over each interval
     reproduces the trajectory at the sample times.
     """
-    times = np.asarray(times, dtype=float)
-    n = times.size - 1
-    omega = np.empty((n, 3))
-    acc = np.empty((n, 3))
-    for k in range(n):
-        omega[k], acc[k] = _imu_increment(rotations[k], rotations[k + 1],
-                                          velocities[k], velocities[k + 1],
-                                          times[k + 1] - times[k])
+    dts = np.diff(np.asarray(times, dtype=float))
+    dv = np.diff(velocities, axis=0) - GRAVITY * dts[:, None]
+    omega = np.empty((dts.size, 3))
+    acc = np.empty((dts.size, 3))
+    for k, dt in enumerate(dts):
+        R0 = rotations[k]
+        phi = so3_log(R0.T @ rotations[k + 1])
+        omega[k] = phi / dt
+        acc[k] = so3_left_jacobian_inv(phi) @ (R0.T @ dv[k]) / dt
     return omega, acc
 
 
@@ -167,12 +165,18 @@ def initial_error_draw(rng):
     return dv, dphi
 
 
-def _leg_ik(leg, R, p, pc_world, R_foot):
-    return leg.inverse(R.T @ (pc_world - p), R.T @ R_foot)
+def _rotate(R, x):
+    """Row-wise R[k] @ x[k]."""
+    return np.einsum("kij,kj->ki", R, x)
 
 
 def generate(config):
-    """Produce a ScenarioDataset for the given configuration."""
+    """Produce a ScenarioDataset for the given configuration.
+
+    The surface, the base reference, the footholds and the noise are
+    evaluated on the whole time grid; the truth is the reference's IMU
+    increments integrated step by step with the filter's own process model.
+    """
     rng = np.random.default_rng(config.seed)
     noise = config.noise
     leg = VirtualLeg()
@@ -180,115 +184,94 @@ def generate(config):
     n = int(round(config.duration * config.imu_rate))
     times = np.arange(n + 1) * dt
 
-    true_profile = config.profile
-    filt_profile = config.filter_profile or config.profile
-
     # measurement schedule, snapped to the IMU grid
-    meas_steps = sorted({int(round(j / config.meas_rate / dt))
-                         for j in range(1, int(config.duration * config.meas_rate) + 1)})
-    meas_steps = [s for s in meas_steps if 0 < s <= n]
-    meas_set = set(meas_steps)
+    meas = np.unique(np.round(np.arange(1, int(config.duration * config.meas_rate) + 1)
+                              / config.meas_rate / dt).astype(int))
+    meas = meas[(meas > 0) & (meas <= n)]
     # surface-orientation schedule: nearest measurement step to each nominal time
     orient_rate = config.meas_rate if config.orient_rate is None else config.orient_rate
-    orient_set = set()
-    if orient_rate > 0.0 and meas_steps:
-        meas_arr = np.array(meas_steps)
+    orient = set()
+    if orient_rate > 0.0 and meas.size:
         for j in range(1, int(config.duration * orient_rate) + 1):
             target = int(round(j / orient_rate / dt))
-            orient_set.add(int(meas_arr[np.argmin(np.abs(meas_arr - target))]))
+            orient.add(int(meas[np.argmin(np.abs(meas - target))]))
+    orient = np.array(sorted(orient), dtype=int)
     # contact switches on the grid, shifted off any measurement step
-    switch_steps = []
+    meas_set, switch = set(meas.tolist()), []
     if config.robot_motion == "RM1":
         i = 1
-        while True:
-            s = int(round(i * config.step_period / dt))
-            if s >= n:
-                break
-            while s in meas_set or s in switch_steps:
+        while (s := int(round(i * config.step_period / dt))) < n:
+            while s in meas_set or s in switch:
                 s += 1
-            switch_steps.append(s)
+            switch.append(s)
             i += 1
-    switch_set = set(switch_steps)
+    switch = np.array(switch, dtype=int)
 
+    # all noise in one draw, sliced in the order of a step-by-step draw: the
+    # biases, then per step gyro, accel and contact velocity (9), the encoders
+    # of a switch (12), of a measurement (6) and the surface orientation (3)
+    widths = np.zeros((n, 4), dtype=int)
+    widths[:, 0] = 9
+    widths[switch - 1, 1] = 12
+    widths[meas - 1, 2] = 6
+    widths[orient - 1, 3] = 3
+    n_bias = 6 if config.draw_biases else 0
+    z = rng.standard_normal(n_bias + widths.sum())
+    first = (n_bias + np.cumsum(widths) - widths.ravel()).reshape(n, 4)
+
+    def draw(at_steps, block, width):
+        return z[first[at_steps - 1, block, None] + np.arange(width)]
+
+    bias = (np.repeat([noise.sd_bias_gyro, noise.sd_bias_accel], 3) * z[:6]
+            if config.draw_biases else np.zeros(6))
+
+    true_profile = config.profile
+    filt_profile = config.filter_profile or config.profile
+    R_true = drs_pose_at(true_profile, times)
+    R_filt = drs_pose_at(filt_profile, times)
+    # the support foot alternates at each switch; a switch step already
+    # stands on the new foothold, which is fixed in the surface frame
     offset = np.asarray(config.contact_offset, dtype=float)
     lateral = np.array([0.0, config.stride_width, 0.0])
-    footholds = [offset + lateral, offset - lateral]
-    stance = 0
+    footholds = np.array([offset + lateral, offset - lateral])
+    pc_drs = footholds[np.searchsorted(switch, np.arange(n + 1), side="right") % 2]
+    truth_pc = _rotate(R_true, pc_drs)
+    vc_true = _rotate(R_true[1:] - R_true[:-1], pc_drs[:n]) / dt
+    vc_filt = _rotate(R_filt[1:] - R_filt[:-1], pc_drs[:n]) / dt
 
     base = _BaseReference(config)
-    bias = np.zeros(6)
-    if config.draw_biases:
-        bias[:3] = noise.sd_bias_gyro * rng.standard_normal(3)
-        bias[3:] = noise.sd_bias_accel * rng.standard_normal(3)
-    zero_bias = BiasState()
-
-    def drs_rot_true(t):
-        return drs_pose_at(true_profile, t).R_drs
-
-    def drs_rot_filt(t):
-        return drs_pose_at(filt_profile, t).R_drs
-
-    pc_drs = footholds[stance]
-    R = base.rotation(0.0)
-    v = base.velocity(0.0)
-    p = base.position(0.0)
-    pc = drs_rot_true(0.0) @ pc_drs
+    R_ref = base.rotations(times[:, None])
+    v_ref = base.velocity(times[:, None])
+    w, a = imu_from_trajectory(times, R_ref, v_ref)
 
     truth_rot = np.empty((n + 1, 3, 3))
     truth_v = np.empty((n + 1, 3))
     truth_p = np.empty((n + 1, 3))
-    truth_pc = np.empty((n + 1, 3))
-    imu_omega = np.empty((n, 3))
-    imu_acc = np.empty((n, 3))
-    contact_v = np.empty((n, 3))
-    enc_q = []
-    drs_rot_meas = []
-    drs_t = []
-    meas_t = []
-    switch_t = []
-    switch_q = []
-
-    truth_rot[0], truth_v[0], truth_p[0], truth_pc[0] = R, v, p, pc
-
+    X = GroupElement.from_parts(R_ref[0], v_ref[0], base.position(0.0), truth_pc[0])
+    truth_rot[0], truth_v[0], truth_p[0] = X.rot, X.v, X.p
+    zero_bias = BiasState()
     for k in range(n):
-        t0, t1 = times[k], times[k + 1]
-        # exact-increment inputs from the reference trajectory
-        w_k, a_k = _imu_increment(R, base.rotation(t1), v, base.velocity(t1), dt)
-        vc_true = (drs_rot_true(t1) - drs_rot_true(t0)) @ pc_drs / dt
-        vc_filt = (drs_rot_filt(t1) - drs_rot_filt(t0)) @ pc_drs / dt
+        # X.pc is not read back: truth_pc is closed form across switches
+        X = integrate_mean(X, zero_bias, w[k], a[k], vc_true[k], dt)
+        truth_rot[k + 1], truth_v[k + 1], truth_p[k + 1] = X.rot, X.v, X.p
 
-        imu_omega[k] = w_k + bias[:3] + noise.sd_gyro * rng.standard_normal(3)
-        imu_acc[k] = a_k + bias[3:] + noise.sd_accel * rng.standard_normal(3)
-        contact_v[k] = vc_filt + R @ (noise.sd_contact_vel * rng.standard_normal(3))
+    step_noise = draw(np.arange(1, n + 1), 0, 9)
+    imu_omega = w + bias[:3] + noise.sd_gyro * step_noise[:, :3]
+    imu_acc = a + bias[3:] + noise.sd_accel * step_noise[:, 3:6]
+    contact_v = vc_filt + _rotate(truth_rot[:n], noise.sd_contact_vel * step_noise[:, 6:])
 
-        X = integrate_mean(GroupElement.from_parts(R, v, p, pc), zero_bias,
-                           w_k, a_k, vc_true, dt)
-        R, v, p, pc = X.rot, X.v, X.p, X.pc
+    def leg_ik(step, pc_world):
+        R, p = truth_rot[step], truth_p[step]
+        return leg.inverse(R.T @ (pc_world - p), R.T @ R_true[step])
 
-        step = k + 1
-        if step in switch_set:
-            R_foot = drs_rot_true(t1)
-            q_prev = _leg_ik(leg, R, p, pc, R_foot)
-            stance = 1 - stance
-            pc_drs = footholds[stance]
-            pc = drs_rot_true(t1) @ pc_drs
-            q_new = _leg_ik(leg, R, p, pc, R_foot)
-            q_stacked = np.concatenate([q_prev, q_new])
-            q_stacked += noise.sd_encoder * rng.standard_normal(12)
-            switch_t.append(t1)
-            switch_q.append(q_stacked)
-        if step in meas_set:
-            R_foot = drs_rot_true(t1)
-            q = _leg_ik(leg, R, p, pc, R_foot)
-            enc_q.append(q + noise.sd_encoder * rng.standard_normal(6))
-            if step in orient_set:
-                drs_rot_meas.append(
-                    so3_exp(noise.sd_drs_orient * rng.standard_normal(3))
-                    @ drs_rot_filt(t1))
-                drs_t.append(t1)
-            meas_t.append(t1)
-
-        truth_rot[step], truth_v[step], truth_p[step], truth_pc[step] = R, v, p, pc
+    switch_q = np.array([np.concatenate([leg_ik(s, R_true[s] @ pc_drs[s - 1]),
+                                         leg_ik(s, truth_pc[s])])
+                         for s in switch]).reshape(-1, 12)
+    switch_q += noise.sd_encoder * draw(switch, 1, 12)
+    enc_q = np.array([leg_ik(s, truth_pc[s]) for s in meas]).reshape(-1, 6)
+    enc_q += noise.sd_encoder * draw(meas, 2, 6)
+    drs_rot = np.array([so3_exp(noise.sd_drs_orient * e) @ R_filt[s]
+                        for s, e in zip(orient, draw(orient, 3, 3))]).reshape(-1, 3, 3)
 
     meta = {
         "profile": true_profile.kind,
@@ -311,11 +294,9 @@ def generate(config):
         truth_pc=truth_pc, bias=bias,
         imu_t=times[:n], imu_omega=imu_omega, imu_acc=imu_acc,
         contact_v=contact_v,
-        meas_t=np.array(meas_t), enc_q=np.array(enc_q).reshape(-1, 6),
-        drs_t=np.array(drs_t),
-        drs_rot=np.array(drs_rot_meas).reshape(-1, 3, 3),
-        switch_t=np.array(switch_t),
-        switch_q=np.array(switch_q).reshape(-1, 12),
+        meas_t=times[meas], enc_q=enc_q,
+        drs_t=times[orient], drs_rot=drs_rot,
+        switch_t=times[switch], switch_q=switch_q,
         meta=meta,
     )
 
@@ -356,51 +337,63 @@ def save_jsonl(dataset, path):
 
 def load_jsonl(path):
     """Reconstruct a ScenarioDataset from a JSON Lines file."""
-    meta = None
-    records = {kind: [] for kind in ("truth", "imu", "contact_vel", "encoder",
-                                     "drs_pose", "contact_switch")}
+    records = {kind: [] for kind in ("meta", "truth", "imu", "contact_vel",
+                                     "encoder", "drs_pose", "contact_switch")}
     with open(path) as fh:
         for line in fh:
             rec = json.loads(line)
-            kind = rec.pop("type")
-            if kind == "meta":
-                meta = rec
-            elif kind in records:
-                records[kind].append(rec)
-            else:
+            kind = rec.pop("type", None) if isinstance(rec, dict) else None
+            if kind not in records:
                 raise ValueError(f"unknown record type: {kind}")
-    truth, imu, cvel, enc, drs_q, switches = records.values()
-    if meta is None:
+            records[kind].append(rec)
+    if not records["meta"]:
         raise ValueError("dataset has no meta record")
+
+    def column(kind, key, shape=()):
+        try:
+            values = [r[key] for r in records[kind]]
+        except KeyError:
+            raise ValueError(f"{kind} record has no '{key}'") from None
+        values = np.array(values, dtype=float)
+        if not np.all(np.isfinite(values)):     # JSON null reads as NaN
+            raise ValueError(f"{kind} record has a non-finite '{key}'")
+        return values.reshape((-1,) + shape)
+
+    dt = float(column("meta", "dt")[-1])
+    meta = records["meta"][-1]
+    del meta["dt"]
     bias = np.array(meta.pop("bias", [0.0] * 6))
-    dt = meta.pop("dt")
-    if not imu:
+    truth_t, imu_t = column("truth", "t"), column("imu", "t")
+    if not imu_t.size:
         raise ValueError("dataset has no IMU records")
-    if len(cvel) != len(imu):
-        raise ValueError(f"dataset has {len(cvel)} contact_vel records for "
-                         f"{len(imu)} IMU records")
+    if len(records["contact_vel"]) != imu_t.size:
+        raise ValueError(f"dataset has {len(records['contact_vel'])} contact_vel "
+                         f"records for {imu_t.size} IMU records")
     # the filter is scored up to the end of the last IMU step
     tol = 0.25 * dt
-    if not truth or truth[0]["t"] > imu[0]["t"] + tol \
-            or truth[-1]["t"] < imu[-1]["t"] + dt - tol:
+    if not truth_t.size or truth_t[0] > imu_t[0] + tol \
+            or truth_t[-1] < imu_t[-1] + dt - tol:
         raise ValueError("truth records do not span the IMU window")
     return ScenarioDataset(
         dt=dt,
-        truth_t=np.array([r["t"] for r in truth]),
-        truth_rot=np.array([quat_to_rot(r["quat"]) for r in truth]).reshape(-1, 3, 3),
-        truth_v=np.array([r["v"] for r in truth]).reshape(-1, 3),
-        truth_p=np.array([r["p"] for r in truth]).reshape(-1, 3),
-        truth_pc=np.array([r["p_c"] for r in truth]).reshape(-1, 3),
+        truth_t=truth_t,
+        truth_rot=np.array([quat_to_rot(q) for q in column("truth", "quat", (4,))]
+                           ).reshape(-1, 3, 3),
+        truth_v=column("truth", "v", (3,)),
+        truth_p=column("truth", "p", (3,)),
+        truth_pc=column("truth", "p_c", (3,)),
         bias=bias,
-        imu_t=np.array([r["t"] for r in imu]),
-        imu_omega=np.array([r["omega"] for r in imu]).reshape(-1, 3),
-        imu_acc=np.array([r["acc"] for r in imu]).reshape(-1, 3),
-        contact_v=np.array([r["v_c"] for r in cvel]).reshape(-1, 3),
-        meas_t=np.array([r["t"] for r in enc]),
-        enc_q=np.array([r["q"] for r in enc]).reshape(-1, 6),
-        drs_t=np.array([r["t"] for r in drs_q]),
-        drs_rot=np.array([quat_to_rot(r["quat"]) for r in drs_q]).reshape(-1, 3, 3),
-        switch_t=np.array([r["t"] for r in switches]),
-        switch_q=np.array([r["q_prev"] + r["q_new"] for r in switches]).reshape(-1, 12),
+        imu_t=imu_t,
+        imu_omega=column("imu", "omega", (3,)),
+        imu_acc=column("imu", "acc", (3,)),
+        contact_v=column("contact_vel", "v_c", (3,)),
+        meas_t=column("encoder", "t"),
+        enc_q=column("encoder", "q", (6,)),
+        drs_t=column("drs_pose", "t"),
+        drs_rot=np.array([quat_to_rot(q) for q in column("drs_pose", "quat", (4,))]
+                         ).reshape(-1, 3, 3),
+        switch_t=column("contact_switch", "t"),
+        switch_q=np.hstack([column("contact_switch", "q_prev", (6,)),
+                            column("contact_switch", "q_new", (6,))]),
         meta=meta,
     )

@@ -239,26 +239,37 @@ def test_cli_run_maps_diverging_filter_to_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command, kind, count, message", [
+@pytest.mark.parametrize("command, kind, cut, message", [
     ("run", "contact_vel", 9,
      "dataset has 391 contact_vel records for 400 IMU records"),
     ("run", None, None, "dataset has no IMU records"),
     ("eval", None, None, "dataset has no IMU records"),
-    ("run", "truth", 100, "truth records do not span the IMU window")],
+    ("run", "truth", 100, "truth records do not span the IMU window"),
+    ("run", "imu", "omega", "imu record has no 'omega'"),
+    ("run", "meta", "dt", "meta record has no 'dt'"),
+    ("run", "encoder", "q", "encoder record has no 'q'"),
+    ("eval", "truth", "quat", "truth record has no 'quat'")],
     ids=["run-short-contact-vel", "run-meta-only", "eval-meta-only",
-         "run-short-truth"])
+         "run-short-truth", "run-imu-without-omega", "run-meta-without-dt",
+         "run-encoder-without-q", "eval-truth-without-quat"])
 def test_cli_rejects_incomplete_dataset(tmp_path, capsys, command, kind,
-                                        count, message):
+                                        cut, message):
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
                                  duration=2.0, meas_rate=10.0, seed=2))
     full = tmp_path / "full.jsonl"
     save_jsonl(ds, full)
     lines = full.read_text().splitlines(keepends=True)
     kinds = [json.loads(line)["type"] for line in lines]
-    if kind is None:    # the meta record alone
+    if kind is None:            # the meta record alone
         drop = {i for i, k in enumerate(kinds) if k != "meta"}
-    else:               # the last count records of one kind cut
-        drop = set([i for i, k in enumerate(kinds) if k == kind][-count:])
+    elif isinstance(cut, int):  # the last cut records of one kind dropped
+        drop = set([i for i, k in enumerate(kinds) if k == kind][-cut:])
+    else:                       # the first record of one kind without key cut
+        drop = set()
+        first = kinds.index(kind)
+        rec = json.loads(lines[first])
+        del rec[cut]
+        lines[first] = json.dumps(rec) + "\n"
     data = tmp_path / "scenario.jsonl"
     data.write_text("".join(line for i, line in enumerate(lines)
                             if i not in drop))
@@ -293,18 +304,50 @@ def test_cli_eval_rejects_dataset_as_estimate(tmp_path, capsys):
 
 
 def test_cli_eval_rejects_disjoint_time_ranges(tmp_path, capsys):
+    # every epoch must lie in the 1 s truth window, not only one of them:
+    # clamped truth would score the late epochs against the last sample
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("profile = TM2\nduration = 1.0\nmeas_rate = 10\nseed = 2\n")
     data = tmp_path / "scenario.jsonl"
     main(["simulate", "--config", str(cfg), "--out", str(data)])
     est = tmp_path / "est.jsonl"
-    with open(est, "w") as fh:
-        fh.write(json.dumps({"t": 99.0, "quat": [1, 0, 0, 0],
-                             "v": [0, 0, 0], "p": [0, 0, 0],
-                             "p_c": [0, 0, 0], "b_omega": [0, 0, 0],
-                             "b_acc": [0, 0, 0], "p_diag": [0.0] * 18}) + "\n")
-    assert main(["eval", "--truth", str(data), "--estimate", str(est)]) == 1
-    capsys.readouterr()
+    for times in ((99.0,), (0.5, 5.0, 50.0), (-0.1, 0.5), (0.5, math.nan)):
+        with open(est, "w") as fh:
+            for t in times:
+                fh.write(json.dumps({"t": t, "quat": [1, 0, 0, 0],
+                                     "v": [0, 0, 0], "p": [0, 0, 0],
+                                     "p_c": [0, 0, 0], "b_omega": [0, 0, 0],
+                                     "b_acc": [0, 0, 0],
+                                     "p_diag": [0.0] * 18}) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--truth", str(data), "--estimate", str(est)]) == 1
+        assert capsys.readouterr().err == \
+            "error: estimate epochs lie outside the truth window\n"
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_cli_rejects_quaternion_without_finite_norm(tmp_path, capsys, command):
+    # run: a truth record with a zero quaternion; eval: a zero estimate
+    # quaternion, which used to score as NaN RMS with exit 0
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=1.0, meas_rate=10.0, seed=2))
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    if command == "run":
+        lines = data.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        assert rec["type"] == "truth"
+        rec["quat"] = [0, 0, 0, 0]
+        lines[1] = json.dumps(rec) + "\n"
+        data.write_text("".join(lines))
+        argv = ["run", "--dataset", str(data), "--out", str(tmp_path / "runs")]
+    else:
+        est = tmp_path / "est.jsonl"
+        est.write_text(json.dumps({"t": 0.5, "quat": [0, 0, 0, 0],
+                                   "v": [0, 0, 0]}) + "\n")
+        argv = ["eval", "--truth", str(data), "--estimate", str(est)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: quaternion ")
 
 
 def test_thresholds_cover_all_error_vars():

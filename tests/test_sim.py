@@ -1,5 +1,8 @@
 """Scenario generator: determinism, exactness, schedules, serialization."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,8 +107,7 @@ def test_zero_noise_measurements_match_truth():
         i = int(round(t / ds.dt))
         R, p, pc = ds.truth_rot[i], ds.truth_p[i], ds.truth_pc[i]
         assert np.allclose(leg.h_p(ds.enc_q[j]), R.T @ (pc - p), atol=1e-9)
-        R_drs = drs_pose_at(prof, t).R_drs
-        assert np.allclose(ds.drs_rot[j], R_drs, atol=1e-9)
+        assert np.allclose(ds.drs_rot[j], drs_pose_at(prof, t), atol=1e-9)
 
 
 def test_contact_point_fixed_in_surface_frame_between_switches():
@@ -113,11 +115,56 @@ def test_contact_point_fixed_in_surface_frame_between_switches():
                                robot_motion="RM2", duration=3.0,
                                noise=ZERO_NOISE))
     prof = PitchProfile(kind="TM1")
-    pc0_local = drs_pose_at(prof, 0.0).R_drs.T @ ds.truth_pc[0]
+    pc0_local = drs_pose_at(prof, 0.0).T @ ds.truth_pc[0]
     for i in (100, 300, 500):
         t = ds.truth_t[i]
-        local = drs_pose_at(prof, t).R_drs.T @ ds.truth_pc[i]
+        local = drs_pose_at(prof, t).T @ ds.truth_pc[i]
         assert np.allclose(local, pc0_local, atol=1e-6)
+
+
+def test_noise_is_one_stream_drawn_step_by_step():
+    # each stream's noise (the noisy dataset minus the zero-noise one) is the
+    # seed's normal stream in step order: the biases first, then per IMU step
+    # gyro, accel and contact velocity, the encoders of a switch, of a
+    # measurement, and the surface orientation of an orientation step
+    cfg = small_config(robot_motion="RM1", orient_rate=5.0, draw_biases=True)
+    noise = cfg.noise
+    ds, ds0 = generate(cfg), generate(replace(cfg, noise=ZERO_NOISE))
+    n = ds.imu_t.size
+
+    def steps(times):
+        return set(np.round(times / ds.dt).astype(int))
+
+    switch, meas, orient = steps(ds.switch_t), steps(ds.meas_t), steps(ds.drs_t)
+    assert switch and orient and orient < meas
+    rng = np.random.default_rng(cfg.seed)
+    bias = rng.standard_normal(6)
+    expected = {name: [] for name in ("gyro", "accel", "contact", "switch",
+                                      "encoder", "orient")}
+    for step in range(1, n + 1):
+        for name in ("gyro", "accel", "contact"):
+            expected[name].append(rng.standard_normal(3))
+        if step in switch:
+            expected["switch"].append(rng.standard_normal(12))
+        if step in meas:
+            expected["encoder"].append(rng.standard_normal(6))
+            if step in orient:
+                expected["orient"].append(rng.standard_normal(3))
+    contact = np.einsum("kji,kj->ki", ds.truth_rot[:n], ds.contact_v - ds0.contact_v)
+    orient_err = [so3_log(R @ R0.T) for R, R0 in zip(ds.drs_rot, ds0.drs_rot)]
+    got = {
+        "gyro": (ds.imu_omega - ds0.imu_omega - ds.bias[:3]) / noise.sd_gyro,
+        "accel": (ds.imu_acc - ds0.imu_acc - ds.bias[3:]) / noise.sd_accel,
+        "contact": contact / noise.sd_contact_vel,
+        "switch": (ds.switch_q - ds0.switch_q) / noise.sd_encoder,
+        "encoder": (ds.enc_q - ds0.enc_q) / noise.sd_encoder,
+        "orient": np.array(orient_err) / noise.sd_drs_orient,
+    }
+    assert np.abs(ds.bias[:3] / noise.sd_bias_gyro - bias[:3]).max() < 1e-9
+    assert np.abs(ds.bias[3:] / noise.sd_bias_accel - bias[3:]).max() < 1e-9
+    for name, draws in expected.items():
+        assert got[name].shape == np.shape(draws), name
+        assert np.abs(got[name] - np.array(draws)).max() < 1e-9, name
 
 
 def test_mismatched_reported_profile():
@@ -127,7 +174,7 @@ def test_mismatched_reported_profile():
     ds = generate(cfg)
     tm3 = PitchProfile(kind="TM3")
     for j, t in enumerate(ds.drs_t):
-        assert np.allclose(ds.drs_rot[j], drs_pose_at(tm3, t).R_drs, atol=1e-9)
+        assert np.allclose(ds.drs_rot[j], drs_pose_at(tm3, t), atol=1e-9)
     assert ds.meta["filter_profile"] == "TM3"
     assert ds.meta["profile"] == "TM1"
 
@@ -195,8 +242,25 @@ def test_load_rejects_missing_meta(tmp_path):
         load_jsonl(path)
 
 
+def test_load_rejects_non_finite_fields(tmp_path):
+    ds = generate(small_config(duration=1.0))
+    full = tmp_path / "full.jsonl"
+    save_jsonl(ds, full)
+    lines = full.read_text().splitlines()
+    for kind, key in (("truth", "v"), ("imu", "omega"), ("meta", "dt")):
+        i = next(i for i, line in enumerate(lines) if f'"type": "{kind}"' in line)
+        rec = json.loads(lines[i])
+        rec[key] = None if kind == "meta" else [None, 0.0, 0.0]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines[:i] + [json.dumps(rec)] + lines[i + 1:]) + "\n")
+        with pytest.raises(ValueError, match=f"{kind} record has a non-finite '{key}'"):
+            load_jsonl(path)
+
+
 def test_load_rejects_unknown_record(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"type": "mystery"}\n')
-    with pytest.raises(ValueError):
-        load_jsonl(path)
+    meta = '{"type": "meta", "dt": 0.005}\n'
+    for record in ('{"type": "mystery"}', '{"t": 0.0}', '[1, 2]'):
+        path.write_text(meta + record + "\n")
+        with pytest.raises(ValueError, match="unknown record type"):
+            load_jsonl(path)
