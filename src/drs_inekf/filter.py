@@ -76,12 +76,13 @@ def integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt):
     phi = (omega_tilde - theta.b_omega) * dt
     acc = a_tilde - theta.b_acc
     R, v = X.rot, X.v
-    acc1 = R @ (liegroup.so3_left_jacobian(phi) @ acc)
-    acc2 = R @ (liegroup.so3_gamma2(phi) @ acc)
+    dR, gamma1, gamma2 = liegroup.so3_series(phi)
+    acc1 = R @ (gamma1 @ acc)
+    acc2 = R @ (gamma2 @ acc)
     cols = np.column_stack([v + (acc1 + GRAVITY) * dt,
                             X.p + v * dt + (acc2 + 0.5 * GRAVITY) * dt**2,
                             X.pc + v_c * dt])
-    return GroupElement(R @ liegroup.so3_exp(phi), cols)
+    return GroupElement(R @ dR, cols)
 
 
 def dynamics_matrix(X, theta, imu, v_c):
@@ -108,20 +109,15 @@ def error_jacobian_nobias(v_c):
     return _fill_error_jacobian_nobias(np.zeros((12, 12)), v_c)
 
 
-def error_jacobian(state, v_c_tilde):
-    """18x18 Jacobian of the linearized invariant-error dynamics."""
+def error_jacobian(Ad, v_c_tilde):
+    """18x18 Jacobian of the linearized invariant-error dynamics at adjoint Ad."""
     A = _fill_error_jacobian_nobias(np.zeros((18, 18)), v_c_tilde)
-    X = state.X
-    R = X.rot
-    A[0:3, 12:15] = -R
-    A[3:6, 12:15] = -skew(X.v) @ R
-    A[6:9, 12:15] = -skew(X.p) @ R
-    A[9:12, 12:15] = -skew(X.pc) @ R
-    A[3:6, 15:18] = -R
+    # the biases act through the gyro and accel inputs, seen as -Ad_X
+    A[:12, 12:18] = -Ad[:, :6]
     return A
 
 
-def process_noise_covariance(state, noise, dt):
+def process_noise_covariance(Ad, noise, dt):
     """Effective continuous-time noise density, rotated into the invariant
     error frame.
 
@@ -134,7 +130,6 @@ def process_noise_covariance(state, noise, dt):
     cov_w[9:12] = noise.sd_contact_vel**2 * dt
     cov_w[12:15] = noise.sd_bias_gyro**2
     cov_w[15:18] = noise.sd_bias_accel**2
-    Ad = liegroup.adjoint(state.X)
     Q = np.zeros((18, 18))
     Q[:12, :12] = Ad @ np.diag(cov_w[:12]) @ Ad.T
     Q[12:, 12:] = np.diag(cov_w[12:])
@@ -146,8 +141,9 @@ def propagate(state, inp, noise, variant=FilterVariant.DRS):
     covariance transition)."""
     inp.validate()
     v_c = np.zeros(3) if variant is FilterVariant.SRS else inp.v_c_tilde
-    A = error_jacobian(state, v_c)
-    Q = process_noise_covariance(state, noise, inp.dt)
+    Ad = liegroup.adjoint(state.X)
+    A = error_jacobian(Ad, v_c)
+    Q = process_noise_covariance(Ad, noise, inp.dt)
     X_new = integrate_mean(state.X, state.theta, inp.imu.omega_tilde,
                            inp.imu.a_tilde, v_c, inp.dt)
     # first-order transition Phi P Phi^T + Q dt rather than the raw Euler
@@ -208,6 +204,16 @@ MAX_SUBSTEP_ROT = 0.1
 MAX_SUBSTEPS = 32
 
 
+def _gain(P, H, N, t):
+    """Gain P H^T S^-1, S = H P H^T + N; None (logged) if S is ill-conditioned."""
+    S = H @ P @ H.T + N
+    if np.linalg.cond(S) > COND_LIMIT:
+        log.warning("update skipped at t=%.4f: innovation covariance "
+                    "ill-conditioned", t)
+        return None
+    return np.linalg.solve(S, H @ P).T
+
+
 def update(state, observations):
     """Joint right-invariant update with all supplied observations.
 
@@ -228,29 +234,26 @@ def update(state, observations):
         H[rows, :12] = observation_row(obs.kind, obs.d[:3])
         z[rows] = innovation(state, obs)
         Nbar[rows, rows] = obs.N
-    S = H @ state.P @ H.T + Nbar
-    if np.linalg.cond(S) > COND_LIMIT:
-        log.warning("update skipped at t=%.4f: innovation covariance "
-                    "ill-conditioned", state.t)
+    L = _gain(state.P, H, Nbar, state.t)
+    if L is None:
         return state
-    dx_full = state.P @ H.T @ np.linalg.solve(S, z)
-    rot_step = np.linalg.norm(dx_full[:3])
+    dx = L @ z
+    rot_step = np.linalg.norm(dx[:3])
     n_steps = int(min(MAX_SUBSTEPS, max(1, np.ceil(rot_step / MAX_SUBSTEP_ROT))))
 
     Nsub = Nbar * n_steps
     X, theta, P = state.X, state.theta, state.P
     eye = np.eye(18)
     for step in range(n_steps):
-        S = H @ P @ H.T + Nsub
-        if np.linalg.cond(S) > COND_LIMIT:
-            log.warning("update skipped at t=%.4f: innovation covariance "
-                        "ill-conditioned", state.t)
-            return state
-        L = P @ H.T @ np.linalg.inv(S)
-        if step > 0:
-            tmp = FilterState(X, theta, P, state.t)
-            z = np.concatenate([innovation(tmp, obs) for obs in observations])
-        dx = L @ z
+        # one step keeps the sizing gain; sub-steps change S through m*N and P
+        if n_steps > 1:
+            L = _gain(P, H, Nsub, state.t)
+            if L is None:
+                return state
+            if step > 0:
+                tmp = FilterState(X, theta, P, state.t)
+                z = np.concatenate([innovation(tmp, obs) for obs in observations])
+            dx = L @ z
         X = compose(sek3_exp(dx[:12]), X)
         theta = BiasState.from_vector(theta.as_vector() + dx[12:])
         # Joseph form keeps P positive semidefinite under large gains
@@ -265,12 +268,11 @@ def jump_propagate(state, q_tilde_at_landing, model, noise):
     delta = GroupElement(np.eye(3), np.column_stack(
         [np.zeros(3), np.zeros(3), h_c]))
     X_new = compose(state.X, delta)
-    Jc = model.J_hc(q_tilde_at_landing)
-    cov12 = np.zeros((12, 12))
-    cov12[9:12, 9:12] = noise.sd_encoder**2 * Jc @ Jc.T
-    Ad = liegroup.adjoint(state.X)
+    # the encoder noise enters the contact error only, and the adjoint's
+    # contact column block is R on its diagonal: Ad cov Ad^T is R cov R^T there
+    RJc = state.X.rot @ model.J_hc(q_tilde_at_landing)
     P = state.P.copy()
-    P[:12, :12] += Ad @ cov12 @ Ad.T
+    P[9:12, 9:12] += noise.sd_encoder**2 * (RJc @ RJc.T)
     return FilterState(X_new, state.theta, symmetrize(P), state.t)
 
 

@@ -23,7 +23,7 @@ from .filter import FilterVariant, run_variant
 from .kinematics import VirtualLeg
 from .liegroup import GroupElement, quat_to_rot, rot_to_quat, so3_exp, so3_log
 from .sim import (ScenarioConfig, generate, initial_error_draw, load_jsonl,
-                  save_jsonl)
+                  read_column, save_jsonl)
 from .state import (BiasState, FilterState, NoiseConfig, read_config,
                     run_covariance)
 from .observability import tilt_sweep
@@ -167,16 +167,14 @@ def save_trajectory(trajectory, path):
 
 def load_trajectory_arrays(path):
     """Times, rotations, velocities from a trajectory JSONL file."""
-    ts, rots, vs = [], [], []
     with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            rec = json.loads(line)
-            if not {"t", "quat", "v"} <= rec.keys():
-                raise ValueError(f"{path}:{n}: not a trajectory record")
-            ts.append(rec["t"])
-            rots.append(quat_to_rot(rec["quat"]))
-            vs.append(rec["v"])
-    return np.array(ts), np.array(rots), np.array(vs)
+        records = [json.loads(line) for line in fh]
+    if not all(isinstance(rec, dict) for rec in records):
+        raise ValueError(f"{path}: a line is not a trajectory record")
+    ts = read_column(records, "trajectory", "t")
+    quats = read_column(records, "trajectory", "quat", (4,))
+    vs = read_column(records, "trajectory", "v", (3,))
+    return ts, np.array([quat_to_rot(q) for q in quats]).reshape(-1, 3, 3), vs
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +217,7 @@ def parse_scenario_config(path):
 def cli_simulate(args):
     try:
         config = parse_scenario_config(args.config)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     dataset = generate(config)
@@ -233,23 +231,23 @@ def cli_simulate(args):
 
 
 def cli_run(args):
+    outdir = pathlib.Path(args.out)
     try:
         dataset = load_jsonl(args.dataset)
-        variant = FilterVariant(args.variant)
-        trajectories = monte_carlo(dataset, variant, NoiseConfig(), args.runs,
-                                   args.seed)
+        outdir.mkdir(parents=True, exist_ok=True)
+        trajectories = monte_carlo(dataset, FilterVariant(args.variant),
+                                   NoiseConfig(), args.runs, args.seed)
     except np.linalg.LinAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outdir = pathlib.Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     error_stack = []
     times = None
     for i, traj in enumerate(trajectories):
-        if any(not np.all(np.isfinite(st.X.cols)) for st in traj):
+        if not all(np.isfinite(a).all() for st in traj for a in
+                   (st.X.rot, st.X.cols, st.theta.as_vector(), st.P)):
             print(f"error: run {i} produced a non-finite state", file=sys.stderr)
             return 2
         save_trajectory(traj, outdir / f"run_{i:02d}.jsonl")
@@ -280,10 +278,10 @@ def cli_eval(args):
     try:
         dataset = load_jsonl(args.truth)
         ts, rots, vs = load_trajectory_arrays(args.estimate)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    tol = 0.25 * dataset.dt     # load_jsonl's tolerance; a NaN epoch fails too
+    tol = 0.25 * dataset.dt     # load_jsonl's tolerance
     if not (ts.size and ts.min() >= dataset.truth_t[0] - tol
             and ts.max() <= dataset.truth_t[-1] + tol):
         print("error: estimate epochs lie outside the truth window",
@@ -300,8 +298,12 @@ def cli_eval(args):
 
 
 def cli_obs(args):
-    tilts = np.radians(np.arange(0.0, args.max_tilt_deg + 1e-9, args.step_deg))
-    reports = tilt_sweep(tilts, dt=args.dt, n_blocks=args.blocks)
+    try:
+        tilts = np.radians(np.arange(0.0, args.max_tilt_deg + 1e-9, args.step_deg))
+        reports = tilt_sweep(tilts, dt=args.dt, n_blocks=args.blocks)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     table = [r.to_dict() for r in reports]
     out = {"tilt_sweep": table}
     print(json.dumps(out, indent=2))
@@ -311,8 +313,31 @@ def cli_obs(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit code 1: the CLI keeps 2 for numerical
+    failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
+def _positive(kind):
+    """argparse type: a finite ``kind`` greater than zero."""
+    def parse(raw):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {kind.__name__}, got {raw!r}")
+        return value
+    return parse
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drs-inekf",
         description="Invariant-filter toolkit for locomotion on a moving surface")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -325,7 +350,7 @@ def build_parser():
     p = sub.add_parser("run", help="run the filter over a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--variant", choices=["drs", "srs"], default="drs")
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=_positive(int), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cli_run)
@@ -338,7 +363,7 @@ def build_parser():
 
     p = sub.add_parser("obs", help="observability tilt sweep")
     p.add_argument("--max-tilt-deg", type=float, default=10.0)
-    p.add_argument("--step-deg", type=float, default=1.0)
+    p.add_argument("--step-deg", type=_positive(float), default=1.0)
     p.add_argument("--dt", type=float, default=1e-2)
     p.add_argument("--blocks", type=int, default=3)
     p.add_argument("--out")
@@ -348,7 +373,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:      # a file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

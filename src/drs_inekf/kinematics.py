@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .liegroup import skew, so3_exp, so3_left_jacobian, so3_log
+from .liegroup import skew, so3_exp, so3_log, so3_series
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -60,11 +60,9 @@ class VirtualLeg(KinematicModel):
         return np.hstack([np.eye(3), np.zeros((3, 3))])
 
     def J_hR3(self, q):
-        # d(exp(phi) e3) = -exp(phi) skew(e3) Jr(phi) dphi, Jr(phi) = Jl(-phi)
-        phi = np.asarray(q, dtype=float)[3:6]
-        R = so3_exp(phi)
-        Jr = so3_left_jacobian(-phi)
-        return np.hstack([np.zeros((3, 3)), -R @ skew(E3) @ Jr])
+        # d(exp(phi) e3) = -exp(phi) skew(e3) Jr(phi) dphi, Jr(phi) = Jl(phi)^T
+        R, Jl, _ = so3_series(np.asarray(q, dtype=float)[3:6])
+        return np.hstack([np.zeros((3, 3)), -R @ skew(E3) @ Jl.T])
 
     def inverse(self, foot_position, foot_rotation_rel):
         """Joint vector reproducing the given base-frame foot pose exactly."""

@@ -29,14 +29,13 @@ def unskew(M):
 
 
 def so3_exp(phi):
-    """Rodrigues formula with a Taylor branch for small angles."""
+    """Rodrigues formula with sin(a)/a = 1 - a^2 c2 and (1 - cos a)/a^2 = c1,
+    coefficients that stay exact at small angles."""
     phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
+    t = phi @ phi
+    c1, c2, _ = _gamma_coefficients(t)
     K = skew(phi)
-    if angle < _SMALL_ANGLE:
-        # sin(a)/a ~ 1 - a^2/6, (1-cos(a))/a^2 ~ 1/2 - a^2/24
-        return np.eye(3) + (1.0 - angle**2 / 6.0) * K + (0.5 - angle**2 / 24.0) * (K @ K)
-    return np.eye(3) + (np.sin(angle) / angle) * K + ((1.0 - np.cos(angle)) / angle**2) * (K @ K)
+    return np.eye(3) + (1.0 - t * c2) * K + c1 * (K @ K)
 
 
 def rot_to_quat(R):
@@ -113,41 +112,37 @@ def so3_log(R):
     return angle * axis
 
 
-def _gamma_coefficients(angle):
-    """(c1, c2, c3) such that, with K = skew(phi) and angle = |phi|,
+def _gamma_coefficients(t):
+    """(c1, c2, c3) such that, with K = skew(phi) and t = |phi|^2,
     Gamma_1 = I + c1 K + c2 K^2 and Gamma_2 = I/2 + c2 K + c3 K^2.
 
     The closed forms cancel at small angles, so a power series takes over
     there; five terms are exact to rounding below its threshold.
     """
-    t = angle * angle
     if t < _SERIES_ANGLE_SQ:
         c1 = (1.0 - t / 12.0 * (1.0 - t / 30.0 * (1.0 - t / 56.0 * (1.0 - t / 90.0)))) / 2.0
         c2 = (1.0 - t / 20.0 * (1.0 - t / 42.0 * (1.0 - t / 72.0 * (1.0 - t / 110.0)))) / 6.0
         c3 = (1.0 - t / 30.0 * (1.0 - t / 56.0 * (1.0 - t / 90.0 * (1.0 - t / 132.0)))) / 24.0
         return c1, c2, c3
+    angle = np.sqrt(t)
     s = np.sin(0.5 * angle)
     c1 = 2.0 * s * s / t                          # (1 - cos)/angle^2
     c2 = (angle - np.sin(angle)) / (angle * t)
     return c1, c2, (0.5 - c1) / t                 # (angle^2/2 + cos - 1)/angle^4
 
 
-def so3_left_jacobian(phi):
-    """Left Jacobian of SO(3), Gamma_1 = sum K^n/(n+1)!; maps tangent columns
-    in the extended exp."""
+def so3_series(phi):
+    """Exp(phi), the left Jacobian Gamma_1 = sum K^n/(n+1)! and its double
+    time integral Gamma_2 = sum K^n/(n+2)!, from one set of coefficients."""
     phi = np.asarray(phi, dtype=float)
-    c1, c2, _ = _gamma_coefficients(np.linalg.norm(phi))
+    t = phi @ phi
+    c1, c2, c3 = _gamma_coefficients(t)
     K = skew(phi)
-    return np.eye(3) + c1 * K + c2 * (K @ K)
-
-
-def so3_gamma2(phi):
-    """Gamma_2 = sum K^n/(n+2)!, the double time integral of exp(s K), which
-    carries a constant specific force into the position."""
-    phi = np.asarray(phi, dtype=float)
-    _, c2, c3 = _gamma_coefficients(np.linalg.norm(phi))
-    K = skew(phi)
-    return 0.5 * np.eye(3) + c2 * K + c3 * (K @ K)
+    K2 = K @ K
+    eye = np.eye(3)
+    return (eye + (1.0 - t * c2) * K + c1 * K2,
+            eye + c1 * K + c2 * K2,
+            0.5 * eye + c2 * K + c3 * K2)
 
 
 def so3_left_jacobian_inv(phi):
@@ -221,9 +216,7 @@ def sek3_vee(M):
 def sek3_exp(xi):
     """Closed-form exponential: SO(3) exp plus left Jacobian on each column."""
     xi = np.asarray(xi, dtype=float)
-    phi = xi[:3]
-    R = so3_exp(phi)
-    J = so3_left_jacobian(phi)
+    R, J, _ = so3_series(xi[:3])
     cols = J @ np.column_stack([xi[3:6], xi[6:9], xi[9:12]])
     return GroupElement(R, cols)
 

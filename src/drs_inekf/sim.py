@@ -48,8 +48,6 @@ class ScenarioConfig:
     contact_offset: tuple = (0.3, 0.0, 0.0)      # nominal foothold, surface frame (m)
     stride_width: float = 0.1                    # lateral foothold offset (m)
     base_height: float = 0.9                     # nominal base height above foothold (m)
-    sway_pos_amp: tuple | None = None            # m; None = default for robot_motion
-    sway_rot_amp: tuple | None = None            # rad
     draw_biases: bool = False                    # constant biases drawn from walk SDs
 
     def __post_init__(self):
@@ -95,27 +93,17 @@ class _BaseReference:
     """Closed-form world-frame base trajectory: bounded sway about a fixed pose."""
 
     def __init__(self, config):
-        if config.sway_pos_amp is not None:
-            pos_amp = np.asarray(config.sway_pos_amp, dtype=float)
-        elif config.robot_motion == "RM1":
-            pos_amp = np.array([0.03, 0.05, 0.02])
-        else:
-            pos_amp = np.array([0.015, 0.02, 0.01])
-        if config.sway_rot_amp is not None:
-            rot_amp = np.asarray(config.sway_rot_amp, dtype=float)
-        elif config.robot_motion == "RM1":
-            rot_amp = np.array([0.02, 0.03, 0.04])
-        else:
-            rot_amp = np.array([0.01, 0.015, 0.02])
         if config.robot_motion == "RM1":
             f_step = 1.0 / config.step_period
+            self.pos_amp = np.array([0.03, 0.05, 0.02])       # m
+            self.rot_amp = np.array([0.02, 0.03, 0.04])       # rad
             self.pos_freq = _TWO_PI * np.array([f_step, 0.5 * f_step, 2.0 * f_step])
             self.rot_freq = _TWO_PI * np.array([0.5 * f_step, f_step, 0.5 * f_step])
         else:
+            self.pos_amp = np.array([0.015, 0.02, 0.01])
+            self.rot_amp = np.array([0.01, 0.015, 0.02])
             self.pos_freq = _TWO_PI * np.array([0.3, 0.25, 0.5])
             self.rot_freq = _TWO_PI * np.array([0.2, 0.3, 0.25])
-        self.pos_amp = pos_amp
-        self.rot_amp = rot_amp
         self.pos_phase = np.array([0.0, 1.1, 2.3])
         self.rot_phase = np.array([0.7, 1.9, 0.4])
         offset = np.asarray(config.contact_offset, dtype=float)
@@ -335,6 +323,25 @@ def save_jsonl(dataset, path):
                 "q_new": list(dataset.switch_q[i][6:])}) + "\n")
 
 
+def read_column(records, kind, key, shape=()):
+    """Field ``key`` of every record as a float array of shape (n,) + shape.
+
+    A missing, malformed or non-finite field raises ValueError naming the
+    record kind and the key.
+    """
+    try:
+        values = [r[key] for r in records]
+    except KeyError:
+        raise ValueError(f"{kind} record has no '{key}'") from None
+    try:
+        values = np.array(values, dtype=float).reshape((len(records),) + shape)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} record has a malformed '{key}'") from None
+    if not np.all(np.isfinite(values)):     # JSON null reads as NaN
+        raise ValueError(f"{kind} record has a non-finite '{key}'")
+    return values
+
+
 def load_jsonl(path):
     """Reconstruct a ScenarioDataset from a JSON Lines file."""
     records = {kind: [] for kind in ("meta", "truth", "imu", "contact_vel",
@@ -350,14 +357,7 @@ def load_jsonl(path):
         raise ValueError("dataset has no meta record")
 
     def column(kind, key, shape=()):
-        try:
-            values = [r[key] for r in records[kind]]
-        except KeyError:
-            raise ValueError(f"{kind} record has no '{key}'") from None
-        values = np.array(values, dtype=float)
-        if not np.all(np.isfinite(values)):     # JSON null reads as NaN
-            raise ValueError(f"{kind} record has a non-finite '{key}'")
-        return values.reshape((-1,) + shape)
+        return read_column(records[kind], kind, key, shape)
 
     dt = float(column("meta", "dt")[-1])
     meta = records["meta"][-1]

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from drs_inekf.filter import (GRAVITY, FilterVariant, ImuSample, ProcessInput,
-                              dynamics_matrix, error_jacobian, innovation,
-                              integrate_mean, jump_propagate,
-                              orientation_observation, position_observation,
-                              propagate, run_variant, update)
+import drs_inekf.filter as filter_module
+from drs_inekf.filter import (COND_LIMIT, GRAVITY, MAX_SUBSTEP_ROT,
+                              MAX_SUBSTEPS, FilterVariant, ImuSample,
+                              ProcessInput, dynamics_matrix, error_jacobian,
+                              innovation, integrate_mean, jump_propagate,
+                              observation_row, orientation_observation,
+                              position_observation, propagate, run_variant,
+                              update)
 from drs_inekf.kinematics import VirtualLeg
-from drs_inekf.liegroup import (GroupElement, compose, inverse, sek3_exp,
-                                sek3_log, so3_exp)
+from drs_inekf.liegroup import (GroupElement, adjoint, compose, inverse,
+                                sek3_exp, sek3_log, so3_exp)
 from drs_inekf.observability import error_jacobian_nobias
 from drs_inekf.sim import ScenarioConfig, generate
 from drs_inekf.drs import PitchProfile
 from drs_inekf.state import (BiasState, FilterState, NoiseConfig,
-                             run_covariance)
+                             run_covariance, symmetrize)
 
 
 def random_state(rng, P=None):
@@ -129,7 +132,7 @@ def test_error_jacobian_matches_numeric_error_flow():
     a = rng.standard_normal(3)
     vc = rng.standard_normal(3)
     st = FilterState(X_true, BiasState(), run_covariance(), 0.0)
-    A = error_jacobian(st, vc)
+    A = error_jacobian(adjoint(st.X), vc)
     for i in range(18):
         d = np.zeros(18)
         d[i] = eps
@@ -262,6 +265,66 @@ def test_update_skips_on_singular_innovation_covariance(caplog):
     assert any("ill-conditioned" in rec.message for rec in caplog.records)
 
 
+def _reference_update(state, observations):
+    """The update as first written: cond and solve to size the sub-steps,
+    then cond and inv again for every sub-step's gain."""
+    k = len(observations)
+    H = np.zeros((3 * k, 18))
+    z = np.zeros(3 * k)
+    Nbar = np.zeros((3 * k, 3 * k))
+    for i, obs in enumerate(observations):
+        rows = slice(3 * i, 3 * i + 3)
+        H[rows, :12] = observation_row(obs.kind, obs.d[:3])
+        z[rows] = innovation(state, obs)
+        Nbar[rows, rows] = obs.N
+    S = H @ state.P @ H.T + Nbar
+    if np.linalg.cond(S) > COND_LIMIT:
+        return state
+    dx_full = state.P @ H.T @ np.linalg.solve(S, z)
+    rot_step = np.linalg.norm(dx_full[:3])
+    n_steps = int(min(MAX_SUBSTEPS, max(1, np.ceil(rot_step / MAX_SUBSTEP_ROT))))
+    Nsub = Nbar * n_steps
+    X, theta, P = state.X, state.theta, state.P
+    for step in range(n_steps):
+        S = H @ P @ H.T + Nsub
+        if np.linalg.cond(S) > COND_LIMIT:
+            return state
+        L = P @ H.T @ np.linalg.inv(S)
+        if step > 0:
+            tmp = FilterState(X, theta, P, state.t)
+            z = np.concatenate([innovation(tmp, obs) for obs in observations])
+        dx = L @ z
+        X = compose(sek3_exp(dx[:12]), X)
+        theta = BiasState.from_vector(theta.as_vector() + dx[12:])
+        ILH = np.eye(18) - L @ H
+        P = symmetrize(ILH @ P @ ILH.T + L @ Nsub @ L.T)
+    return FilterState(X, theta, P, state.t)
+
+
+@pytest.mark.parametrize("substeps", [False, True], ids=["one-step", "sub-steps"])
+def test_update_matches_reference_gain_sequence(monkeypatch, substeps):
+    # one gain per distinct S: a single step reuses the sizing gain, and
+    # sub-steps factor S once each
+    leg = VirtualLeg()
+    noise = NoiseConfig()
+    st = standing_state()
+    q = leg.inverse(st.X.rot.T @ (st.X.pc - st.X.p), st.X.rot.T)
+    tilt = 0.5 if substeps else 0.02
+    X_off = compose(sek3_exp(np.r_[0.0, tilt, 0.0, np.zeros(9)]), st.X)
+    st_off = FilterState(X_off, BiasState(), run_covariance(), 0.0)
+    obs = [orientation_observation(q, np.eye(3), leg, noise, X_off.rot),
+           position_observation(q, leg, noise, X_off.rot)]
+    calls = []
+    monkeypatch.setattr(filter_module, "sek3_exp",
+                        lambda xi: calls.append(1) or sek3_exp(xi))
+    out = update(st_off, obs)
+    ref = _reference_update(st_off, obs)
+    assert (len(calls) > 1) == substeps
+    assert np.abs(out.X.as_matrix() - ref.X.as_matrix()).max() < 1e-12
+    assert np.abs(out.theta.as_vector() - ref.theta.as_vector()).max() < 1e-12
+    assert np.abs(out.P - ref.P).max() < 1e-12
+
+
 def test_update_requires_observations():
     with pytest.raises(ValueError):
         update(standing_state(), [])
@@ -280,6 +343,27 @@ def test_jump_shifts_contact_point_and_inflates_covariance():
     assert np.allclose(out.X.p, st.X.p, atol=1e-14)
     assert np.allclose(out.X.v, st.X.v, atol=1e-14)
     assert np.trace(out.P) > np.trace(st.P)
+
+
+def test_jump_inflation_equals_adjoint_sandwich():
+    # the encoder noise enters the contact error only, so Ad cov Ad^T touches
+    # the contact block alone
+    rng = np.random.default_rng(8)
+    leg = VirtualLeg()
+    noise = NoiseConfig()
+    for _ in range(50):
+        A = rng.standard_normal((18, 18))
+        st = FilterState(sek3_exp(rng.uniform(-1.0, 1.0, 12)), BiasState(),
+                         A @ A.T, 0.0)
+        stacked = rng.uniform(-1.0, 1.0, 12)
+        Jc = leg.J_hc(stacked)
+        cov12 = np.zeros((12, 12))
+        cov12[9:12, 9:12] = noise.sd_encoder**2 * Jc @ Jc.T
+        Ad = adjoint(st.X)
+        expect = st.P.copy()
+        expect[:12, :12] += Ad @ cov12 @ Ad.T
+        out = jump_propagate(st, stacked, leg, noise)
+        assert np.abs(out.P - symmetrize(expect)).max() < 1e-15
 
 
 def test_jump_preserves_invariant_error():

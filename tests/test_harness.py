@@ -11,17 +11,19 @@ import numpy as np
 import pytest
 
 import drs_inekf
+import drs_inekf.harness as harness
 from drs_inekf.drs import PitchProfile
 from drs_inekf.filter import FilterVariant, run_variant
 from drs_inekf.harness import (DEFAULT_THRESHOLDS, ERROR_VARS,
                                convergence_time, error_angles,
-                               interpolate_truth, load_trajectory_arrays,
+                               initial_state_for_run, interpolate_truth,
+                               load_trajectory_arrays,
                                main, make_report, monte_carlo,
                                parse_scenario_config, save_trajectory,
                                trajectory_errors)
 from drs_inekf.kinematics import VirtualLeg
-from drs_inekf.liegroup import so3_exp
-from drs_inekf.sim import ScenarioConfig, generate, save_jsonl
+from drs_inekf.liegroup import GroupElement, so3_exp
+from drs_inekf.sim import ScenarioConfig, generate, load_jsonl, save_jsonl
 from drs_inekf.state import (BiasState, FilterState, NoiseConfig,
                              run_covariance)
 
@@ -195,17 +197,55 @@ def test_cli_obs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_input_errors(tmp_path, capsys):
-    missing = tmp_path / "nope.cfg"
-    assert main(["simulate", "--config", str(missing),
-                 "--out", str(tmp_path / "x.jsonl")]) == 1
+def test_cli_input_errors(tmp_path, capsys, monkeypatch):
+    # a bad input exits 1 and a non-finite filter state exits 2, each with
+    # "error: ..." and never a traceback; usage errors count as bad input
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("profile = TM2\nduration = 1.0\nmeas_rate = 10\nseed = 2\n")
+    data = str(tmp_path / "scenario.jsonl")
+    assert main(["simulate", "--config", str(cfg), "--out", data]) == 0
     bad = tmp_path / "bad.cfg"
     bad.write_text("profile = TM9\n")
-    assert main(["simulate", "--config", str(bad),
-                 "--out", str(tmp_path / "x.jsonl")]) == 1
-    assert main(["run", "--dataset", str(tmp_path / "nope.jsonl"),
-                 "--out", str(tmp_path / "runs")]) == 1
-    capsys.readouterr()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = str(tmp_path / "runs")
+    cases = [
+        ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", out],
+        ["simulate", "--config", str(bad), "--out", out],
+        ["simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "missing" / "x.jsonl")],
+        ["run", "--dataset", str(tmp_path / "nope.jsonl"), "--out", out],
+        ["run", "--dataset", data, "--runs", "0", "--out", out],
+        ["run", "--dataset", data, "--runs", "-1", "--out", out],
+        ["run", "--dataset", data, "--out", str(a_file)],
+        ["run", "--dataset", data, "--variant", "abc", "--out", out],
+        ["run"],
+        ["bogus"],
+        ["obs", "--blocks", "1"],
+        ["obs", "--step-deg", "0"],
+    ]
+    for argv in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse exits on a usage error
+            code = exc.code
+        assert code == 1, argv
+        assert "error: " in capsys.readouterr().err, argv
+
+    ds = load_jsonl(data)
+    good = initial_state_for_run(ds, np.random.default_rng(0))
+    nan3 = np.full((3, 3), np.nan)
+    bad_states = [
+        FilterState(GroupElement(nan3, good.X.cols), good.theta, good.P, 0.1),
+        FilterState(good.X, BiasState(np.full(3, np.nan)), good.P, 0.1),
+        FilterState(good.X, good.theta, np.full((18, 18), np.inf), 0.1),
+    ]
+    for bad_state in bad_states:
+        monkeypatch.setattr(harness, "monte_carlo",
+                            lambda *args: [[good, bad_state]])
+        assert main(["run", "--dataset", data, "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            "error: run 0 produced a non-finite state\n"
 
 
 @pytest.mark.parametrize("stream, message", [
@@ -303,6 +343,27 @@ def test_cli_eval_rejects_dataset_as_estimate(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"t": 0.5, "quat": [1, 0, 0, 0], "v": [NaN, 0, 0]}',
+     "trajectory record has a non-finite 'v'"),
+    ('{"t": 0.5, "quat": [1, 0, 0, 0], "v": [0, 0]}',
+     "trajectory record has a malformed 'v'"),
+    ('{"t": "half", "quat": [1, 0, 0, 0], "v": [0, 0, 0]}',
+     "trajectory record has a malformed 't'"),
+    ("[1, 2]", "a line is not a trajectory record")],
+    ids=["nan-v", "short-v", "string-t", "not-an-object"])
+def test_cli_eval_rejects_malformed_estimate(tmp_path, capsys, line, message):
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=1.0, meas_rate=10.0, seed=2))
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    estimate = tmp_path / "estimate.jsonl"
+    estimate.write_text(line + "\n")
+    assert main(["eval", "--truth", str(data), "--estimate", str(estimate)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(message)
+
+
 def test_cli_eval_rejects_disjoint_time_ranges(tmp_path, capsys):
     # every epoch must lie in the 1 s truth window, not only one of them:
     # clamped truth would score the late epochs against the last sample
@@ -311,7 +372,11 @@ def test_cli_eval_rejects_disjoint_time_ranges(tmp_path, capsys):
     data = tmp_path / "scenario.jsonl"
     main(["simulate", "--config", str(cfg), "--out", str(data)])
     est = tmp_path / "est.jsonl"
-    for times in ((99.0,), (0.5, 5.0, 50.0), (-0.1, 0.5), (0.5, math.nan)):
+    outside = "error: estimate epochs lie outside the truth window\n"
+    for times, message in (((99.0,), outside), ((0.5, 5.0, 50.0), outside),
+                           ((-0.1, 0.5), outside),
+                           ((0.5, math.nan),
+                            "error: trajectory record has a non-finite 't'\n")):
         with open(est, "w") as fh:
             for t in times:
                 fh.write(json.dumps({"t": t, "quat": [1, 0, 0, 0],
@@ -321,8 +386,7 @@ def test_cli_eval_rejects_disjoint_time_ranges(tmp_path, capsys):
                                      "p_diag": [0.0] * 18}) + "\n")
         capsys.readouterr()
         assert main(["eval", "--truth", str(data), "--estimate", str(est)]) == 1
-        assert capsys.readouterr().err == \
-            "error: estimate epochs lie outside the truth window\n"
+        assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])

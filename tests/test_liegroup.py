@@ -6,9 +6,9 @@ import scipy.linalg
 
 from drs_inekf.liegroup import (GroupElement, adjoint, compose, inverse,
                                 quat_to_rot, rot_to_quat, sek3_exp, sek3_hat,
-                                sek3_log, sek3_vee, skew, so3_exp, so3_gamma2,
-                                so3_left_jacobian, so3_left_jacobian_inv,
-                                so3_log, unskew)
+                                sek3_log, sek3_vee, skew, so3_exp,
+                                so3_left_jacobian_inv, so3_log,
+                                so3_series, unskew)
 
 
 def random_rotation(rng):
@@ -69,11 +69,11 @@ def test_left_jacobian_inverse_pair():
     rng = np.random.default_rng(6)
     for _ in range(200):
         phi = rng.uniform(-3.0, 3.0, 3)
-        J = so3_left_jacobian(phi)
+        J = so3_series(phi)[1]
         Jinv = so3_left_jacobian_inv(phi)
         assert np.allclose(J @ Jinv, np.eye(3), atol=1e-10)
     phi = np.array([1e-9, -2e-9, 0.0])
-    assert np.allclose(so3_left_jacobian(phi) @ so3_left_jacobian_inv(phi),
+    assert np.allclose(so3_series(phi)[1] @ so3_left_jacobian_inv(phi),
                        np.eye(3), atol=1e-12)
 
 
@@ -85,23 +85,27 @@ def test_left_jacobian_differentiates_exp():
         phi = rng.uniform(-2.0, 2.0, 3)
         delta = rng.standard_normal(3)
         num = (so3_exp(phi + eps * delta) - so3_exp(phi - eps * delta)) / (2 * eps)
-        ana = skew(so3_left_jacobian(phi) @ delta) @ so3_exp(phi)
+        ana = skew(so3_series(phi)[1] @ delta) @ so3_exp(phi)
         assert np.allclose(num, ana, atol=1e-6)
 
 
 @pytest.mark.parametrize("angle", [0.0, 1e-8, 1e-6, 3e-6, 1e-5, 1e-4, 1e-3,
                                    0.0999, 0.1001, 0.3, 1.0, 3.0])
 def test_gamma_functions_match_block_exponential(angle):
-    # expm([[K, I, 0], [0, 0, I], [0, 0, 0]]) carries Gamma_1 = J_l in its
-    # top-middle block and Gamma_2 in its top-right block; the angles cover
-    # both sides of the series switch at 0.1 and the old 1e-6 branch
+    # expm([[K, I, 0], [0, 0, I], [0, 0, 0]]) carries Exp in its top-left
+    # block, Gamma_1 = J_l in its top-middle block and Gamma_2 in its
+    # top-right block; the angles cover both sides of the series switch at 0.1
+    # and the old 1e-6 branch
     phi = angle * np.array([0.6, -0.48, 0.64])
     M = np.zeros((9, 9))
     M[:3, :3] = skew(phi)
     M[:3, 3:6] = M[3:6, 6:9] = np.eye(3)
     E = scipy.linalg.expm(M)
-    assert np.abs(so3_left_jacobian(phi) - E[:3, 3:6]).max() < 1e-14
-    assert np.abs(so3_gamma2(phi) - E[:3, 6:9]).max() < 1e-14
+    R, gamma1, gamma2 = so3_series(phi)
+    assert np.abs(so3_exp(phi) - E[:3, :3]).max() < 1e-14
+    assert np.abs(R - E[:3, :3]).max() < 1e-14
+    assert np.abs(gamma1 - E[:3, 3:6]).max() < 1e-14
+    assert np.abs(gamma2 - E[:3, 6:9]).max() < 1e-14
 
 
 def test_group_element_matrix_roundtrip_and_parts():
@@ -174,7 +178,7 @@ def test_adjoint_commutes_with_exp():
         assert np.allclose(lhs.as_matrix(), rhs.as_matrix(), atol=1e-9)
 
 
-def test_quat_to_rot_rejects_nothing_but_normalizes():
+def test_quat_to_rot_normalizes():
     q = np.array([2.0, 0.0, 0.0, 0.0])
     assert np.allclose(quat_to_rot(q), np.eye(3), atol=1e-14)
 
