@@ -14,6 +14,7 @@ static-surface baseline filter.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,7 +28,12 @@ log = logging.getLogger(__name__)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 _SKEW_GRAVITY = skew(GRAVITY)
+# the constant parts of the Gamma-term increments (R Gamma_1 a, R Gamma_2 a)
+_GRAVITY_12 = np.column_stack([GRAVITY, 0.5 * GRAVITY])
 E3 = np.array([0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
+_EYE18 = np.eye(18)
+_ZERO3 = np.zeros(3)
 
 MAX_DT = 0.1
 COND_LIMIT = 1e12
@@ -75,14 +81,15 @@ def integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt):
     (the Gamma-function discretization of Hartley et al., IJRR 2020)."""
     phi = (omega_tilde - theta.b_omega) * dt
     acc = a_tilde - theta.b_acc
-    R, v = X.rot, X.v
-    dR, gamma1, gamma2 = liegroup.so3_series(phi)
-    acc1 = R @ (gamma1 @ acc)
-    acc2 = R @ (gamma2 @ acc)
-    cols = np.column_stack([v + (acc1 + GRAVITY) * dt,
-                            X.p + v * dt + (acc2 + 0.5 * GRAVITY) * dt**2,
-                            X.pc + v_c * dt])
-    return GroupElement(R @ dR, cols)
+    R = X.rot
+    series = liegroup.so3_series(phi)
+    # columns R Gamma_1 a + g and R Gamma_2 a + g/2
+    acc12 = R @ (series[1:] @ acc).T + _GRAVITY_12
+    # (v, p, pc) -> (v, p + v dt, pc), then the input-driven increments
+    cols = X.cols @ np.array([[1.0, dt, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    cols[:, :2] += acc12 * (dt, dt * dt)
+    cols[:, 2] += v_c * dt
+    return GroupElement(R @ series[0], cols)
 
 
 def dynamics_matrix(X, theta, imu, v_c):
@@ -99,7 +106,7 @@ def dynamics_matrix(X, theta, imu, v_c):
 def _fill_error_jacobian_nobias(A, v_c):
     # the right-invariant error makes this block independent of the state
     A[3:6, 0:3] = _SKEW_GRAVITY
-    A[6:9, 3:6] = np.eye(3)
+    A[6:9, 3:6] = _EYE3
     A[9:12, 0:3] = skew(v_c)
     return A
 
@@ -109,9 +116,13 @@ def error_jacobian_nobias(v_c):
     return _fill_error_jacobian_nobias(np.zeros((12, 12)), v_c)
 
 
+_ERROR_JACOBIAN_FIXED = _fill_error_jacobian_nobias(np.zeros((18, 18)), _ZERO3)
+
+
 def error_jacobian(Ad, v_c_tilde):
     """18x18 Jacobian of the linearized invariant-error dynamics at adjoint Ad."""
-    A = _fill_error_jacobian_nobias(np.zeros((18, 18)), v_c_tilde)
+    A = _ERROR_JACOBIAN_FIXED.copy()
+    A[9:12, 0:3] = skew(v_c_tilde)
     # the biases act through the gyro and accel inputs, seen as -Ad_X
     A[:12, 12:18] = -Ad[:, :6]
     return A
@@ -124,15 +135,11 @@ def process_noise_covariance(Ad, noise, dt):
     White sensor noises are per-sample SDs at the step rate, so their
     densities scale with dt; bias walks are densities already.
     """
-    cov_w = np.zeros(18)
-    cov_w[0:3] = noise.sd_gyro**2 * dt
-    cov_w[3:6] = noise.sd_accel**2 * dt
-    cov_w[9:12] = noise.sd_contact_vel**2 * dt
-    cov_w[12:15] = noise.sd_bias_gyro**2
-    cov_w[15:18] = noise.sd_bias_accel**2
-    Q = np.zeros((18, 18))
-    Q[:12, :12] = Ad @ np.diag(cov_w[:12]) @ Ad.T
-    Q[12:, 12:] = np.diag(cov_w[12:])
+    w = np.array(3 * [noise.sd_gyro**2 * dt] + 3 * [noise.sd_accel**2 * dt]
+                 + 3 * [0.0] + 3 * [noise.sd_contact_vel**2 * dt]
+                 + 3 * [noise.sd_bias_gyro**2] + 3 * [noise.sd_bias_accel**2])
+    Q = np.diag(w)
+    Q[:12, :12] = (Ad * w[:12]) @ Ad.T      # Ad diag(w) Ad^T
     return Q
 
 
@@ -140,7 +147,7 @@ def propagate(state, inp, noise, variant=FilterVariant.DRS):
     """One continuous-phase propagation step (exact mean flow, first-order
     covariance transition)."""
     inp.validate()
-    v_c = np.zeros(3) if variant is FilterVariant.SRS else inp.v_c_tilde
+    v_c = _ZERO3 if variant is FilterVariant.SRS else inp.v_c_tilde
     Ad = liegroup.adjoint(state.X)
     A = error_jacobian(Ad, v_c)
     Q = process_noise_covariance(Ad, noise, inp.dt)
@@ -149,7 +156,7 @@ def propagate(state, inp, noise, variant=FilterVariant.DRS):
     # first-order transition Phi P Phi^T + Q dt rather than the raw Euler
     # Riccati step: the quadratic term it retains keeps P positive
     # semidefinite when updates have collapsed some directions
-    Phi = np.eye(18) + A * inp.dt
+    Phi = _EYE18 + A * inp.dt
     P = Phi @ state.P @ Phi.T + Q * inp.dt
     return FilterState(X_new, state.theta, symmetrize(P), state.t + inp.dt)
 
@@ -179,18 +186,20 @@ def position_observation(q_tilde, model, noise, R_est):
     return Observation("position", Y, d, N)
 
 
+_POSITION_ROWS = np.hstack([np.zeros((3, 6)), -_EYE3, _EYE3])
+_POSITION_ROWS.flags.writeable = False
+
+
 def observation_row(kind, normal):
     """Reduced 3x12 observation matrix for one observation kind; ``normal``,
     the reported surface normal, is used by the orientation rows only."""
-    H = np.zeros((3, 12))
+    if kind == "position":
+        return _POSITION_ROWS
     if kind == "orientation":
+        H = np.zeros((3, 12))
         H[:, 0:3] = skew(normal)
-    elif kind == "position":
-        H[:, 6:9] = -np.eye(3)
-        H[:, 9:12] = np.eye(3)
-    else:
-        raise ValueError(f"unknown observation kind: {kind}")
-    return H
+        return H
+    raise ValueError(f"unknown observation kind: {kind}")
 
 
 def innovation(state, obs):
@@ -205,13 +214,20 @@ MAX_SUBSTEPS = 32
 
 
 def _gain(P, H, N, t):
-    """Gain P H^T S^-1, S = H P H^T + N; None (logged) if S is ill-conditioned."""
-    S = H @ P @ H.T + N
-    if np.linalg.cond(S) > COND_LIMIT:
+    """Gain P H^T S^-1, S = H P H^T + N; None (logged) if S is ill-conditioned.
+
+    S is symmetric, so its 2-norm condition number max|l| / min|l| comes
+    from its eigenvalues l, and eigvalsh raises LinAlgError on a NaN or inf.
+    """
+    HP = H @ P
+    S = HP @ H.T + N
+    magnitudes = [abs(lam) for lam in np.linalg.eigvalsh(S).tolist()]
+    lo, hi = min(magnitudes), max(magnitudes)
+    if lo == 0.0 or hi > COND_LIMIT * lo:
         log.warning("update skipped at t=%.4f: innovation covariance "
                     "ill-conditioned", t)
         return None
-    return np.linalg.solve(S, H @ P).T
+    return np.linalg.solve(S, HP).T
 
 
 def update(state, observations):
@@ -239,11 +255,10 @@ def update(state, observations):
         return state
     dx = L @ z
     rot_step = np.linalg.norm(dx[:3])
-    n_steps = int(min(MAX_SUBSTEPS, max(1, np.ceil(rot_step / MAX_SUBSTEP_ROT))))
+    n_steps = min(MAX_SUBSTEPS, max(1, math.ceil(rot_step / MAX_SUBSTEP_ROT)))
 
     Nsub = Nbar * n_steps
     X, theta, P = state.X, state.theta, state.P
-    eye = np.eye(18)
     for step in range(n_steps):
         # one step keeps the sizing gain; sub-steps change S through m*N and P
         if n_steps > 1:
@@ -255,19 +270,18 @@ def update(state, observations):
                 z = np.concatenate([innovation(tmp, obs) for obs in observations])
             dx = L @ z
         X = compose(sek3_exp(dx[:12]), X)
-        theta = BiasState.from_vector(theta.as_vector() + dx[12:])
+        theta = BiasState(theta.b_omega + dx[12:15], theta.b_acc + dx[15:])
         # Joseph form keeps P positive semidefinite under large gains
-        ILH = eye - L @ H
+        ILH = _EYE18 - L @ H
         P = symmetrize(ILH @ P @ ILH.T + L @ Nsub @ L.T)
     return FilterState(X, theta, P, state.t)
 
 
 def jump_propagate(state, q_tilde_at_landing, model, noise):
     """Foot-landing jump: shift the tracked contact point and inflate P."""
-    h_c = model.h_c(q_tilde_at_landing)
-    delta = GroupElement(np.eye(3), np.column_stack(
-        [np.zeros(3), np.zeros(3), h_c]))
-    X_new = compose(state.X, delta)
+    cols = np.zeros((3, 3))
+    cols[:, 2] = model.h_c(q_tilde_at_landing)
+    X_new = compose(state.X, GroupElement(_EYE3, cols))
     # the encoder noise enters the contact error only, and the adjoint's
     # contact column block is R on its diagonal: Ad cov Ad^T is R cov R^T there
     RJc = state.X.rot @ model.J_hc(q_tilde_at_landing)

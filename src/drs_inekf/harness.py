@@ -23,7 +23,7 @@ from .filter import FilterVariant, run_variant
 from .kinematics import VirtualLeg
 from .liegroup import GroupElement, quat_to_rot, rot_to_quat, so3_exp, so3_log
 from .sim import (ScenarioConfig, generate, initial_error_draw, load_jsonl,
-                  read_column, save_jsonl)
+                  read_column, write_jsonl)
 from .state import (BiasState, FilterState, NoiseConfig, read_config,
                     run_covariance)
 from .observability import tilt_sweep
@@ -34,6 +34,8 @@ DEFAULT_THRESHOLDS = {
     "yaw": 0.1, "pitch": 0.05, "roll": 0.05,
 }
 POST_WINDOW_START = 5.0
+# a covariance eigenvalue below -PSD_TOL times the largest one is not rounding
+PSD_TOL = 1e-9
 
 
 def error_angles(R_est, R_true):
@@ -220,8 +222,10 @@ def cli_simulate(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    dataset = generate(config)
-    save_jsonl(dataset, args.out)
+    # open --out first: a path that cannot be written fails before generating
+    with open(args.out, "w") as fh:
+        dataset = generate(config)
+        write_jsonl(dataset, fh)
     max_vc = float(np.max(np.linalg.norm(dataset.contact_v, axis=1)))
     print(f"wrote {args.out}: duration {config.duration} s, "
           f"{dataset.imu_t.size} IMU samples, {dataset.meas_t.size} "
@@ -249,6 +253,13 @@ def cli_run(args):
         if not all(np.isfinite(a).all() for st in traj for a in
                    (st.X.rot, st.X.cols, st.theta.as_vector(), st.P)):
             print(f"error: run {i} produced a non-finite state", file=sys.stderr)
+            return 2
+        # one state at a time: a stacked (n, 18, 18) copy of a run's P
+        # raises the peak memory of `run` by 4 MB on Case A
+        if any(lam[0] < -PSD_TOL * lam[-1]
+               for lam in map(np.linalg.eigvalsh, (st.P for st in traj))):
+            print(f"error: run {i} produced a covariance that is not positive "
+                  "semidefinite", file=sys.stderr)
             return 2
         save_trajectory(traj, outdir / f"run_{i:02d}.jsonl")
         times, errs = trajectory_errors(dataset, traj)
@@ -322,16 +333,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _positive(kind):
-    """argparse type: a finite ``kind`` greater than zero."""
+def _positive(kind, zero=False):
+    """argparse type: a finite ``kind`` greater than zero, or at least zero
+    when ``zero`` is set."""
     def parse(raw):
         try:
             value = kind(raw)
         except ValueError:
             value = math.nan
-        if not 0 < value < math.inf:
+        if not (0 <= value < math.inf if zero else 0 < value < math.inf):
             raise argparse.ArgumentTypeError(
-                f"expected a positive {kind.__name__}, got {raw!r}")
+                f"expected a {'nonnegative' if zero else 'positive'} "
+                f"{kind.__name__}, got {raw!r}")
         return value
     return parse
 
@@ -362,9 +375,10 @@ def build_parser():
     p.set_defaults(func=cli_eval)
 
     p = sub.add_parser("obs", help="observability tilt sweep")
-    p.add_argument("--max-tilt-deg", type=float, default=10.0)
+    p.add_argument("--max-tilt-deg", type=_positive(float, zero=True),
+                   default=10.0)
     p.add_argument("--step-deg", type=_positive(float), default=1.0)
-    p.add_argument("--dt", type=float, default=1e-2)
+    p.add_argument("--dt", type=_positive(float), default=1e-2)
     p.add_argument("--blocks", type=int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=cli_obs)

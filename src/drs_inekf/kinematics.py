@@ -19,6 +19,10 @@ import numpy as np
 from .liegroup import skew, so3_exp, so3_log, so3_series
 
 E3 = np.array([0.0, 0.0, 1.0])
+_SKEW_E3 = skew(E3)
+# the foot position is the first three joints, so its Jacobian is constant
+_J_FOOT_POSITION = np.hstack([np.eye(3), np.zeros((3, 3))])
+_J_FOOT_POSITION.flags.writeable = False
 
 
 class KinematicModel:
@@ -57,12 +61,14 @@ class VirtualLeg(KinematicModel):
         return so3_exp(np.asarray(q, dtype=float)[3:6])
 
     def J_hp(self, q):
-        return np.hstack([np.eye(3), np.zeros((3, 3))])
+        return _J_FOOT_POSITION
 
     def J_hR3(self, q):
         # d(exp(phi) e3) = -exp(phi) skew(e3) Jr(phi) dphi, Jr(phi) = Jl(phi)^T
         R, Jl, _ = so3_series(np.asarray(q, dtype=float)[3:6])
-        return np.hstack([np.zeros((3, 3)), -R @ skew(E3) @ Jl.T])
+        J = np.zeros((3, 6))
+        J[:, 3:] = -R @ _SKEW_E3 @ Jl.T
+        return J
 
     def inverse(self, foot_position, foot_rotation_rel):
         """Joint vector reproducing the given base-frame foot pose exactly."""

@@ -9,6 +9,7 @@ All functions are pure and operate on plain numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +29,27 @@ def unskew(M):
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
+def _k_polynomials(x, y, z, coefficients):
+    """(n, 3, 3) stack of a I + b K + c K^2, one per (a, b, c), for
+    K = skew(phi) with phi = (x, y, z), built entry by entry from
+    K^2 = phi phi^T - |phi|^2 I."""
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    entries = []
+    for a, b, c in coefficients:
+        entries += (a - c * (yy + zz), c * xy - b * z, c * xz + b * y,
+                    c * xy + b * z, a - c * (xx + zz), c * yz - b * x,
+                    c * xz - b * y, c * yz + b * x, a - c * (xx + yy))
+    return np.array(entries).reshape(-1, 3, 3)
+
+
 def so3_exp(phi):
     """Rodrigues formula with sin(a)/a = 1 - a^2 c2 and (1 - cos a)/a^2 = c1,
     coefficients that stay exact at small angles."""
-    phi = np.asarray(phi, dtype=float)
-    t = phi @ phi
+    x, y, z = np.asarray(phi, dtype=float).tolist()
+    t = x * x + y * y + z * z
     c1, c2, _ = _gamma_coefficients(t)
-    K = skew(phi)
-    return np.eye(3) + (1.0 - t * c2) * K + c1 * (K @ K)
+    return _k_polynomials(x, y, z, [(1.0, 1.0 - t * c2, c1)])[0]
 
 
 def rot_to_quat(R):
@@ -124,25 +138,22 @@ def _gamma_coefficients(t):
         c2 = (1.0 - t / 20.0 * (1.0 - t / 42.0 * (1.0 - t / 72.0 * (1.0 - t / 110.0)))) / 6.0
         c3 = (1.0 - t / 30.0 * (1.0 - t / 56.0 * (1.0 - t / 90.0 * (1.0 - t / 132.0)))) / 24.0
         return c1, c2, c3
-    angle = np.sqrt(t)
-    s = np.sin(0.5 * angle)
+    angle = math.sqrt(t)
+    s = math.sin(0.5 * angle)
     c1 = 2.0 * s * s / t                          # (1 - cos)/angle^2
-    c2 = (angle - np.sin(angle)) / (angle * t)
+    c2 = (angle - math.sin(angle)) / (angle * t)
     return c1, c2, (0.5 - c1) / t                 # (angle^2/2 + cos - 1)/angle^4
 
 
 def so3_series(phi):
     """Exp(phi), the left Jacobian Gamma_1 = sum K^n/(n+1)! and its double
-    time integral Gamma_2 = sum K^n/(n+2)!, from one set of coefficients."""
-    phi = np.asarray(phi, dtype=float)
-    t = phi @ phi
+    time integral Gamma_2 = sum K^n/(n+2)!, from one set of coefficients,
+    stacked as one (3, 3, 3) array."""
+    x, y, z = np.asarray(phi, dtype=float).tolist()
+    t = x * x + y * y + z * z
     c1, c2, c3 = _gamma_coefficients(t)
-    K = skew(phi)
-    K2 = K @ K
-    eye = np.eye(3)
-    return (eye + (1.0 - t * c2) * K + c1 * K2,
-            eye + c1 * K + c2 * K2,
-            0.5 * eye + c2 * K + c3 * K2)
+    return _k_polynomials(x, y, z, [(1.0, 1.0 - t * c2, c1), (1.0, c1, c2),
+                                    (0.5, c2, c3)])
 
 
 def so3_left_jacobian_inv(phi):
@@ -217,8 +228,7 @@ def sek3_exp(xi):
     """Closed-form exponential: SO(3) exp plus left Jacobian on each column."""
     xi = np.asarray(xi, dtype=float)
     R, J, _ = so3_series(xi[:3])
-    cols = J @ np.column_stack([xi[3:6], xi[6:9], xi[9:12]])
-    return GroupElement(R, cols)
+    return GroupElement(R, J @ xi[3:].reshape(3, 3).T)
 
 
 def sek3_log(X):
@@ -243,6 +253,10 @@ def adjoint(X):
     R = X.rot
     for i in range(4):
         Ad[3 * i:3 * i + 3, 3 * i:3 * i + 3] = R
-    for i in range(3):
-        Ad[3 * (i + 1):3 * (i + 2), 0:3] = skew(X.cols[:, i]) @ R
+    # skew(v) R, skew(p) R and skew(pc) R as one 9x3 stack times R
+    (vx, px, cx), (vy, py, cy), (vz, pz, cz) = X.cols.tolist()
+    Ad[3:, :3] = np.array([0.0, -vz, vy, vz, 0.0, -vx, -vy, vx, 0.0,
+                           0.0, -pz, py, pz, 0.0, -px, -py, px, 0.0,
+                           0.0, -cz, cy, cz, 0.0, -cx, -cy, cx, 0.0]
+                          ).reshape(9, 3) @ R
     return Ad

@@ -292,51 +292,71 @@ def generate(config):
 def save_jsonl(dataset, path):
     """Serialize a dataset to JSON Lines with a leading meta record."""
     with open(path, "w") as fh:
-        fh.write(json.dumps({"type": "meta", "dt": dataset.dt,
-                             "bias": list(dataset.bias), **dataset.meta}) + "\n")
-        for i, t in enumerate(dataset.truth_t):
-            fh.write(json.dumps({
-                "type": "truth", "t": t,
-                "quat": list(rot_to_quat(dataset.truth_rot[i])),
-                "v": list(dataset.truth_v[i]), "p": list(dataset.truth_p[i]),
-                "p_c": list(dataset.truth_pc[i])}) + "\n")
-        for i, t in enumerate(dataset.imu_t):
-            fh.write(json.dumps({
-                "type": "imu", "t": t,
-                "omega": list(dataset.imu_omega[i]),
-                "acc": list(dataset.imu_acc[i])}) + "\n")
-            fh.write(json.dumps({
-                "type": "contact_vel", "t": t,
-                "v_c": list(dataset.contact_v[i])}) + "\n")
-        for i, t in enumerate(dataset.meas_t):
-            fh.write(json.dumps({
-                "type": "encoder", "t": t,
-                "q": list(dataset.enc_q[i])}) + "\n")
-        for i, t in enumerate(dataset.drs_t):
-            fh.write(json.dumps({
-                "type": "drs_pose", "t": t,
-                "quat": list(rot_to_quat(dataset.drs_rot[i]))}) + "\n")
-        for i, t in enumerate(dataset.switch_t):
-            fh.write(json.dumps({
-                "type": "contact_switch", "t": t,
-                "q_prev": list(dataset.switch_q[i][:6]),
-                "q_new": list(dataset.switch_q[i][6:])}) + "\n")
+        write_jsonl(dataset, fh)
+
+
+def write_jsonl(dataset, fh):
+    """Write a dataset as JSON Lines to an open text file."""
+    fh.write(json.dumps({"type": "meta", "dt": dataset.dt,
+                         "bias": list(dataset.bias), **dataset.meta}) + "\n")
+    for i, t in enumerate(dataset.truth_t):
+        fh.write(json.dumps({
+            "type": "truth", "t": t,
+            "quat": list(rot_to_quat(dataset.truth_rot[i])),
+            "v": list(dataset.truth_v[i]), "p": list(dataset.truth_p[i]),
+            "p_c": list(dataset.truth_pc[i])}) + "\n")
+    for i, t in enumerate(dataset.imu_t):
+        fh.write(json.dumps({
+            "type": "imu", "t": t,
+            "omega": list(dataset.imu_omega[i]),
+            "acc": list(dataset.imu_acc[i])}) + "\n")
+        fh.write(json.dumps({
+            "type": "contact_vel", "t": t,
+            "v_c": list(dataset.contact_v[i])}) + "\n")
+    for i, t in enumerate(dataset.meas_t):
+        fh.write(json.dumps({
+            "type": "encoder", "t": t,
+            "q": list(dataset.enc_q[i])}) + "\n")
+    for i, t in enumerate(dataset.drs_t):
+        fh.write(json.dumps({
+            "type": "drs_pose", "t": t,
+            "quat": list(rot_to_quat(dataset.drs_rot[i]))}) + "\n")
+    for i, t in enumerate(dataset.switch_t):
+        fh.write(json.dumps({
+            "type": "contact_switch", "t": t,
+            "q_prev": list(dataset.switch_q[i][:6]),
+            "q_new": list(dataset.switch_q[i][6:])}) + "\n")
+
+
+# the JSON values a numeric field may hold; null reads as NaN and is
+# rejected as non-finite, and a bool (an int subclass) is not a number here
+_JSON_NUMBER = (int, float, type(None))
 
 
 def read_column(records, kind, key, shape=()):
     """Field ``key`` of every record as a float array of shape (n,) + shape.
 
     A missing, malformed or non-finite field raises ValueError naming the
-    record kind and the key.
+    record kind and the key.  A field holds a JSON number, or a list of
+    numbers when ``shape`` is given; strings and booleans are malformed,
+    although numpy would convert them.
     """
     try:
         values = [r[key] for r in records]
     except KeyError:
         raise ValueError(f"{kind} record has no '{key}'") from None
+    if shape:
+        numbers = all(type(v) is list and all(type(e) in _JSON_NUMBER for e in v)
+                      for v in values)
+    else:
+        numbers = all(type(v) in _JSON_NUMBER for v in values)
+    malformed = ValueError(f"{kind} record has a malformed '{key}'")
+    if not numbers:
+        raise malformed
     try:
         values = np.array(values, dtype=float).reshape((len(records),) + shape)
-    except (TypeError, ValueError):
-        raise ValueError(f"{kind} record has a malformed '{key}'") from None
+    except (ValueError, OverflowError):     # ragged, or an int beyond float
+        raise malformed from None
     if not np.all(np.isfinite(values)):     # JSON null reads as NaN
         raise ValueError(f"{kind} record has a non-finite '{key}'")
     return values

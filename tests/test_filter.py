@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 import drs_inekf.filter as filter_module
 from drs_inekf.filter import (COND_LIMIT, GRAVITY, MAX_SUBSTEP_ROT,
@@ -263,6 +264,34 @@ def test_update_skips_on_singular_innovation_covariance(caplog):
         out = update(st, [obs])
     assert out is st
     assert any("ill-conditioned" in rec.message for rec in caplog.records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_cond=st.floats(10.0, 14.0), log_scale=st.floats(-6.0, 2.0),
+       size=st.sampled_from([3, 6]), seed=st.integers(0, 2**32 - 1))
+def test_gain_skip_decision_equals_svd_condition_test(log_cond, log_scale,
+                                                       size, seed):
+    # eigvalsh and the SVD behind cond estimate the condition number to about
+    # eps * cond relative, so a band of 2% around the limit is left out
+    assume(abs(log_cond - np.log10(COND_LIMIT)) > 0.01)
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    lam = np.r_[1.0, 10.0 ** -rng.uniform(0.0, log_cond, size - 2),
+                10.0 ** -log_cond] * 10.0 ** log_scale
+    S = symmetrize((Q * lam) @ Q.T)
+    skipped = filter_module._gain(S, np.eye(size), np.zeros((size, size)),
+                                  0.0) is None
+    assert skipped == (np.linalg.cond(S) > COND_LIMIT)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gain_raises_on_non_finite_innovation_covariance(bad):
+    P = run_covariance()
+    P[4, 4] = bad
+    H = np.zeros((3, 18))
+    H[:, 3:6] = np.eye(3)
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        filter_module._gain(P, H, np.eye(3), 0.0)
 
 
 def _reference_update(state, observations):

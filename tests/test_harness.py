@@ -223,6 +223,9 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         ["bogus"],
         ["obs", "--blocks", "1"],
         ["obs", "--step-deg", "0"],
+        ["obs", "--max-tilt-deg", "-5"],
+        ["obs", "--dt", "0"],
+        ["obs", "--dt", "-1"],
     ]
     for argv in cases:
         try:
@@ -235,17 +238,37 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
     ds = load_jsonl(data)
     good = initial_state_for_run(ds, np.random.default_rng(0))
     nan3 = np.full((3, 3), np.nan)
+    indefinite = good.P.copy()
+    indefinite[0, 0] = -1e-3
+    non_finite = "error: run 0 produced a non-finite state\n"
     bad_states = [
-        FilterState(GroupElement(nan3, good.X.cols), good.theta, good.P, 0.1),
-        FilterState(good.X, BiasState(np.full(3, np.nan)), good.P, 0.1),
-        FilterState(good.X, good.theta, np.full((18, 18), np.inf), 0.1),
+        (FilterState(GroupElement(nan3, good.X.cols), good.theta, good.P, 0.1),
+         non_finite),
+        (FilterState(good.X, BiasState(np.full(3, np.nan)), good.P, 0.1),
+         non_finite),
+        (FilterState(good.X, good.theta, np.full((18, 18), np.inf), 0.1),
+         non_finite),
+        (FilterState(good.X, good.theta, indefinite, 0.1),
+         "error: run 0 produced a covariance that is not positive "
+         "semidefinite\n"),
     ]
-    for bad_state in bad_states:
+    for bad_state, message in bad_states:
         monkeypatch.setattr(harness, "monte_carlo",
                             lambda *args: [[good, bad_state]])
         assert main(["run", "--dataset", data, "--out", out]) == 2
-        assert capsys.readouterr().err == \
-            "error: run 0 produced a non-finite state\n"
+        assert capsys.readouterr().err == message
+
+
+def test_cli_simulate_opens_out_before_generating(tmp_path, capsys,
+                                                  monkeypatch):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("profile = TM2\nduration = 20.0\n")
+    calls = []
+    monkeypatch.setattr(harness, "generate", lambda config: calls.append(1))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "missing" / "x.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not calls
 
 
 @pytest.mark.parametrize("stream, message", [
@@ -350,8 +373,13 @@ def test_cli_eval_rejects_dataset_as_estimate(tmp_path, capsys):
      "trajectory record has a malformed 'v'"),
     ('{"t": "half", "quat": [1, 0, 0, 0], "v": [0, 0, 0]}',
      "trajectory record has a malformed 't'"),
+    ('{"t": "0.5", "quat": [1, 0, 0, 0], "v": [0, 0, 0]}',
+     "trajectory record has a malformed 't'"),
+    ('{"t": 0.5, "quat": [1, 0, 0, 0], "v": [true, 0, 0]}',
+     "trajectory record has a malformed 'v'"),
     ("[1, 2]", "a line is not a trajectory record")],
-    ids=["nan-v", "short-v", "string-t", "not-an-object"])
+    ids=["nan-v", "short-v", "string-t", "quoted-t", "boolean-v",
+         "not-an-object"])
 def test_cli_eval_rejects_malformed_estimate(tmp_path, capsys, line, message):
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
                                  duration=1.0, meas_rate=10.0, seed=2))

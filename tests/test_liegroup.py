@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from drs_inekf.liegroup import (GroupElement, adjoint, compose, inverse,
                                 quat_to_rot, rot_to_quat, sek3_exp, sek3_hat,
@@ -89,14 +90,7 @@ def test_left_jacobian_differentiates_exp():
         assert np.allclose(num, ana, atol=1e-6)
 
 
-@pytest.mark.parametrize("angle", [0.0, 1e-8, 1e-6, 3e-6, 1e-5, 1e-4, 1e-3,
-                                   0.0999, 0.1001, 0.3, 1.0, 3.0])
-def test_gamma_functions_match_block_exponential(angle):
-    # expm([[K, I, 0], [0, 0, I], [0, 0, 0]]) carries Exp in its top-left
-    # block, Gamma_1 = J_l in its top-middle block and Gamma_2 in its
-    # top-right block; the angles cover both sides of the series switch at 0.1
-    # and the old 1e-6 branch
-    phi = angle * np.array([0.6, -0.48, 0.64])
+def _assert_series_matches_block_exponential(phi):
     M = np.zeros((9, 9))
     M[:3, :3] = skew(phi)
     M[:3, 3:6] = M[3:6, 6:9] = np.eye(3)
@@ -106,6 +100,33 @@ def test_gamma_functions_match_block_exponential(angle):
     assert np.abs(R - E[:3, :3]).max() < 1e-14
     assert np.abs(gamma1 - E[:3, 3:6]).max() < 1e-14
     assert np.abs(gamma2 - E[:3, 6:9]).max() < 1e-14
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-8, 1e-6, 3e-6, 1e-5, 1e-4, 1e-3,
+                                   0.0999, 0.1001, 0.3, 1.0, 3.0])
+def test_gamma_functions_match_block_exponential(angle):
+    # expm([[K, I, 0], [0, 0, I], [0, 0, 0]]) carries Exp in its top-left
+    # block, Gamma_1 = J_l in its top-middle block and Gamma_2 in its
+    # top-right block; the angles cover both sides of the series switch at 0.1
+    # and the old 1e-6 branch
+    phi = angle * np.array([0.6, -0.48, 0.64])
+    _assert_series_matches_block_exponential(phi)
+
+
+_UNIT = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(
+    np.array).filter(lambda u: np.linalg.norm(u) > 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle=st.floats(1e-9, np.pi - 1e-6), axis=_UNIT)
+@example(angle=0.1 * (1.0 - 1e-12), axis=np.array([0.6, -0.48, 0.64]))
+@example(angle=0.1 * (1.0 + 1e-12), axis=np.array([0.6, -0.48, 0.64]))
+@example(angle=np.pi - 1e-6, axis=np.array([0.0, 0.0, 1.0]))
+def test_series_kernels_match_block_exponential(angle, axis):
+    # the entry-wise kernels of so3_series and so3_exp, on both sides of the
+    # series switch at |phi|^2 = 1e-2 and up to just below pi
+    phi = angle * axis / np.linalg.norm(axis)
+    _assert_series_matches_block_exponential(phi)
 
 
 def test_group_element_matrix_roundtrip_and_parts():
@@ -158,14 +179,16 @@ def test_compose_inverse_identity():
         assert np.allclose(AIA.cols, 0.0, atol=1e-12)
 
 
-def test_adjoint_conjugation_identity():
-    rng = np.random.default_rng(14)
-    for _ in range(200):
-        X = sek3_exp(rng.uniform(-1.5, 1.5, 12))
-        xi = rng.standard_normal(12)
-        lhs = adjoint(X) @ xi
-        M = X.as_matrix() @ sek3_hat(xi) @ np.linalg.inv(X.as_matrix())
-        assert np.allclose(lhs, sek3_vee(M), atol=1e-9)
+_VEC12 = st.lists(st.floats(-1.5, 1.5), min_size=12, max_size=12).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_VEC12, xi=_VEC12)
+def test_adjoint_conjugation_identity(x, xi):
+    X = sek3_exp(x)
+    lhs = adjoint(X) @ xi
+    M = X.as_matrix() @ sek3_hat(xi) @ np.linalg.inv(X.as_matrix())
+    assert np.allclose(lhs, sek3_vee(M), atol=1e-9)
 
 
 def test_adjoint_commutes_with_exp():

@@ -257,6 +257,24 @@ def test_load_rejects_non_finite_fields(tmp_path):
             load_jsonl(path)
 
 
+def test_load_rejects_strings_and_booleans_as_numbers(tmp_path):
+    # numpy would read "0.0" as 0.0 and true as 1.0
+    ds = generate(small_config(duration=1.0))
+    full = tmp_path / "full.jsonl"
+    save_jsonl(ds, full)
+    lines = full.read_text().splitlines()
+    for kind, key, value in (("truth", "t", "0.0"), ("imu", "omega", [True, 0, 0]),
+                             ("encoder", "q", [0, "0", 0, 0, 0, 0]),
+                             ("meta", "dt", False)):
+        i = next(i for i, line in enumerate(lines) if f'"type": "{kind}"' in line)
+        rec = json.loads(lines[i])
+        rec[key] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines[:i] + [json.dumps(rec)] + lines[i + 1:]) + "\n")
+        with pytest.raises(ValueError, match=f"{kind} record has a malformed '{key}'"):
+            load_jsonl(path)
+
+
 def test_load_rejects_unknown_record(tmp_path):
     path = tmp_path / "bad.jsonl"
     meta = '{"type": "meta", "dt": 0.005}\n'
