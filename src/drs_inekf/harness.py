@@ -39,38 +39,34 @@ PSD_TOL = 1e-9
 
 
 def error_angles(R_est, R_true):
-    """(roll, pitch, yaw) Euler angles of the error rotation R_est R_true^T."""
-    E = R_est @ R_true.T
-    pitch = math.asin(max(-1.0, min(1.0, -E[2, 0])))
-    roll = math.atan2(E[2, 1], E[2, 2])
-    yaw = math.atan2(E[1, 0], E[0, 0])
+    """(roll, pitch, yaw) Euler angles of the error rotation R_est R_true^T,
+    each over the leading shape of the rotations."""
+    E = np.asarray(R_est) @ np.swapaxes(R_true, -1, -2)
+    pitch = np.arcsin(np.clip(-E[..., 2, 0], -1.0, 1.0))
+    roll = np.arctan2(E[..., 2, 1], E[..., 2, 2])
+    yaw = np.arctan2(E[..., 1, 0], E[..., 0, 0])
     return roll, pitch, yaw
 
 
 def interpolate_truth(dataset, t):
-    """Ground truth at time t; rotations interpolated geodesically."""
+    """Ground truth at time t, or at each of an array of times; rotations
+    interpolated geodesically."""
     ts = dataset.truth_t
-    i = int(np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2))
-    s = (t - ts[i]) / (ts[i + 1] - ts[i])
-    s = min(max(s, 0.0), 1.0)
+    i = np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2)
+    s = np.clip((t - ts[i]) / (ts[i + 1] - ts[i]), 0.0, 1.0)[..., None]
     R0, R1 = dataset.truth_rot[i], dataset.truth_rot[i + 1]
-    R = R0 @ so3_exp(s * so3_log(R0.T @ R1))
-    v = (1 - s) * dataset.truth_v[i] + s * dataset.truth_v[i + 1]
-    p = (1 - s) * dataset.truth_p[i] + s * dataset.truth_p[i + 1]
-    pc = (1 - s) * dataset.truth_pc[i] + s * dataset.truth_pc[i + 1]
+    R = R0 @ so3_exp(s * so3_log(np.swapaxes(R0, -1, -2) @ R1))
+    v, p, pc = ((1 - s) * x[i] + s * x[i + 1] for x in
+                (dataset.truth_v, dataset.truth_p, dataset.truth_pc))
     return R, v, p, pc
 
 
 def epoch_errors(dataset, times, rotations, velocities):
     """Per-epoch error table, columns ordered as ERROR_VARS, for estimated
     rotations and velocities at the given times."""
-    errors = np.empty((times.size, 6))
-    for i, t in enumerate(times):
-        R_true, v_true, _, _ = interpolate_truth(dataset, t)
-        roll, pitch, yaw = error_angles(rotations[i], R_true)
-        errors[i, :3] = velocities[i] - v_true
-        errors[i, 3:] = (yaw, pitch, roll)
-    return errors
+    R_true, v_true, _, _ = interpolate_truth(dataset, times)
+    roll, pitch, yaw = error_angles(rotations, R_true)
+    return np.column_stack([velocities - v_true, yaw, pitch, roll])
 
 
 def trajectory_errors(dataset, trajectory):
@@ -151,20 +147,16 @@ def monte_carlo(dataset, variant, noise, n_runs, seed):
     return trajectories
 
 
-def _traj_record(st):
-    return {
-        "t": st.t,
-        "quat": list(rot_to_quat(st.X.rot)),
-        "v": list(st.X.v), "p": list(st.X.p), "p_c": list(st.X.pc),
-        "b_omega": list(st.theta.b_omega), "b_acc": list(st.theta.b_acc),
-        "p_diag": list(np.diag(st.P)),
-    }
-
-
 def save_trajectory(trajectory, path):
+    quats = rot_to_quat(np.array([st.X.rot for st in trajectory]).reshape(-1, 3, 3))
     with open(path, "w") as fh:
-        for st in trajectory:
-            fh.write(json.dumps(_traj_record(st)) + "\n")
+        for st, quat in zip(trajectory, quats.tolist()):
+            fh.write(json.dumps({
+                "t": st.t, "quat": quat,
+                "v": list(st.X.v), "p": list(st.X.p), "p_c": list(st.X.pc),
+                "b_omega": list(st.theta.b_omega), "b_acc": list(st.theta.b_acc),
+                "p_diag": list(np.diag(st.P)),
+            }) + "\n")
 
 
 def load_trajectory_arrays(path):
@@ -176,7 +168,7 @@ def load_trajectory_arrays(path):
     ts = read_column(records, "trajectory", "t")
     quats = read_column(records, "trajectory", "quat", (4,))
     vs = read_column(records, "trajectory", "v", (3,))
-    return ts, np.array([quat_to_rot(q) for q in quats]).reshape(-1, 3, 3), vs
+    return ts, quat_to_rot(quats), vs
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +230,8 @@ def cli_run(args):
     outdir = pathlib.Path(args.out)
     try:
         dataset = load_jsonl(args.dataset)
+        if dataset.meas_t.size == 0:
+            raise ValueError("the dataset has no encoder records to score")
         outdir.mkdir(parents=True, exist_ok=True)
         trajectories = monte_carlo(dataset, FilterVariant(args.variant),
                                    NoiseConfig(), args.runs, args.seed)

@@ -1,17 +1,21 @@
 """Synthetic scenario generator for treadmill locomotion.
 
-Ground truth is produced by integrating the filter's own deterministic
-process model with inputs synthesized as exact per-interval increments of a
-closed-form reference trajectory.  Sensor samples therefore represent
-interval-averaged readings, and with zero noise the dataset is exactly
-explainable by the filter's models.
+The IMU inputs are the exact per-interval increments of a closed-form
+reference trajectory: the filter's own deterministic process model, run
+with them as constant inputs, steps from each reference sample to the next.
+So the truth R and v are the reference samples themselves, and the truth p
+is the model's position increments summed in closed form.  Sensor samples
+represent interval-averaged readings, and with zero noise the dataset is
+exactly explainable by the filter's models.
 
 The contact point is fixed in the surface frame during each stance; stepping
 (RM1) switches the support foot between two lateral footholds at a fixed
 period, with switch times kept off the measurement grid.
 
-Everything but the truth is evaluated on the whole time grid, and all noise
-comes from one draw, sliced in the order a step-by-step draw would take it.
+Everything is evaluated on the whole time grid, with stacked SO(3)
+operations; only the leg inverse kinematics of switch and measurement steps
+runs per sample.  All noise comes from one draw, sliced in the order a
+step-by-step draw would take it.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drs import PitchProfile, drs_pose_at
-from .filter import GRAVITY, integrate_mean
+from .filter import GRAVITY
+# not called here: the perfbench tracer wraps drs_inekf.sim.integrate_mean
+from .filter import integrate_mean  # noqa: F401
 from .kinematics import VirtualLeg
 from .liegroup import (GroupElement, quat_to_rot, rot_to_quat, so3_exp,
-                       so3_left_jacobian_inv, so3_log)
-from .state import BiasState, NoiseConfig
+                       so3_left_jacobian_inv, so3_log, so3_series)
+from .state import NoiseConfig
 
 _TWO_PI = 2.0 * math.pi
 
@@ -117,8 +123,7 @@ class _BaseReference:
 
     def rotations(self, t):
         """(n, 3, 3) rotations at a column of n times."""
-        rho = self.rot_amp * np.sin(self.rot_freq * t + self.rot_phase)
-        return np.array([so3_exp(r) for r in rho])
+        return so3_exp(self.rot_amp * np.sin(self.rot_freq * t + self.rot_phase))
 
 
 def imu_from_trajectory(times, rotations, velocities):
@@ -128,16 +133,12 @@ def imu_from_trajectory(times, rotations, velocities):
     integrating the IMU motion model with constant inputs over each interval
     reproduces the trajectory at the sample times.
     """
-    dts = np.diff(np.asarray(times, dtype=float))
-    dv = np.diff(velocities, axis=0) - GRAVITY * dts[:, None]
-    omega = np.empty((dts.size, 3))
-    acc = np.empty((dts.size, 3))
-    for k, dt in enumerate(dts):
-        R0 = rotations[k]
-        phi = so3_log(R0.T @ rotations[k + 1])
-        omega[k] = phi / dt
-        acc[k] = so3_left_jacobian_inv(phi) @ (R0.T @ dv[k]) / dt
-    return omega, acc
+    dts = np.diff(np.asarray(times, dtype=float))[:, None]
+    rotations = np.asarray(rotations, dtype=float)
+    R0t = rotations[:-1].transpose(0, 2, 1)
+    phi = so3_log(R0t @ rotations[1:])
+    dv = np.diff(velocities, axis=0) - GRAVITY * dts
+    return phi / dts, _rotate(so3_left_jacobian_inv(phi), _rotate(R0t, dv)) / dts
 
 
 def initial_error_draw(rng):
@@ -161,9 +162,8 @@ def _rotate(R, x):
 def generate(config):
     """Produce a ScenarioDataset for the given configuration.
 
-    The surface, the base reference, the footholds and the noise are
-    evaluated on the whole time grid; the truth is the reference's IMU
-    increments integrated step by step with the filter's own process model.
+    The surface, the base reference, the footholds, the truth and the
+    noise are evaluated on the whole time grid.
     """
     rng = np.random.default_rng(config.seed)
     noise = config.noise
@@ -224,24 +224,19 @@ def generate(config):
     footholds = np.array([offset + lateral, offset - lateral])
     pc_drs = footholds[np.searchsorted(switch, np.arange(n + 1), side="right") % 2]
     truth_pc = _rotate(R_true, pc_drs)
-    vc_true = _rotate(R_true[1:] - R_true[:-1], pc_drs[:n]) / dt
     vc_filt = _rotate(R_filt[1:] - R_filt[:-1], pc_drs[:n]) / dt
 
     base = _BaseReference(config)
-    R_ref = base.rotations(times[:, None])
-    v_ref = base.velocity(times[:, None])
-    w, a = imu_from_trajectory(times, R_ref, v_ref)
-
-    truth_rot = np.empty((n + 1, 3, 3))
-    truth_v = np.empty((n + 1, 3))
-    truth_p = np.empty((n + 1, 3))
-    X = GroupElement.from_parts(R_ref[0], v_ref[0], base.position(0.0), truth_pc[0])
-    truth_rot[0], truth_v[0], truth_p[0] = X.rot, X.v, X.p
-    zero_bias = BiasState()
-    for k in range(n):
-        # X.pc is not read back: truth_pc is closed form across switches
-        X = integrate_mean(X, zero_bias, w[k], a[k], vc_true[k], dt)
-        truth_rot[k + 1], truth_v[k + 1], truth_p[k + 1] = X.rot, X.v, X.p
+    truth_rot = base.rotations(times[:, None])
+    truth_v = base.velocity(times[:, None])
+    w, a = imu_from_trajectory(times, truth_rot, truth_v)
+    # the model's position increment over a step, v dt + (R Gamma_2 a + g/2) dt^2,
+    # with the rotation vector phi = w dt that integrate_mean forms
+    gamma2 = so3_series(w * dt)[:, 2]
+    dp = truth_v[:n] * dt + (_rotate(truth_rot[:n], _rotate(gamma2, a))
+                             + 0.5 * GRAVITY) * (dt * dt)
+    truth_p = base.position(0.0) + np.concatenate([np.zeros((1, 3)),
+                                                   np.cumsum(dp, axis=0)])
 
     step_noise = draw(np.arange(1, n + 1), 0, 9)
     imu_omega = w + bias[:3] + noise.sd_gyro * step_noise[:, :3]
@@ -258,8 +253,7 @@ def generate(config):
     switch_q += noise.sd_encoder * draw(switch, 1, 12)
     enc_q = np.array([leg_ik(s, truth_pc[s]) for s in meas]).reshape(-1, 6)
     enc_q += noise.sd_encoder * draw(meas, 2, 6)
-    drs_rot = np.array([so3_exp(noise.sd_drs_orient * e) @ R_filt[s]
-                        for s, e in zip(orient, draw(orient, 3, 3))]).reshape(-1, 3, 3)
+    drs_rot = so3_exp(noise.sd_drs_orient * draw(orient, 3, 3)) @ R_filt[orient]
 
     meta = {
         "profile": true_profile.kind,
@@ -299,10 +293,11 @@ def write_jsonl(dataset, fh):
     """Write a dataset as JSON Lines to an open text file."""
     fh.write(json.dumps({"type": "meta", "dt": dataset.dt,
                          "bias": list(dataset.bias), **dataset.meta}) + "\n")
+    truth_quat = rot_to_quat(dataset.truth_rot).tolist()
     for i, t in enumerate(dataset.truth_t):
         fh.write(json.dumps({
             "type": "truth", "t": t,
-            "quat": list(rot_to_quat(dataset.truth_rot[i])),
+            "quat": truth_quat[i],
             "v": list(dataset.truth_v[i]), "p": list(dataset.truth_p[i]),
             "p_c": list(dataset.truth_pc[i])}) + "\n")
     for i, t in enumerate(dataset.imu_t):
@@ -317,10 +312,8 @@ def write_jsonl(dataset, fh):
         fh.write(json.dumps({
             "type": "encoder", "t": t,
             "q": list(dataset.enc_q[i])}) + "\n")
-    for i, t in enumerate(dataset.drs_t):
-        fh.write(json.dumps({
-            "type": "drs_pose", "t": t,
-            "quat": list(rot_to_quat(dataset.drs_rot[i]))}) + "\n")
+    for t, quat in zip(dataset.drs_t, rot_to_quat(dataset.drs_rot).tolist()):
+        fh.write(json.dumps({"type": "drs_pose", "t": t, "quat": quat}) + "\n")
     for i, t in enumerate(dataset.switch_t):
         fh.write(json.dumps({
             "type": "contact_switch", "t": t,
@@ -397,8 +390,7 @@ def load_jsonl(path):
     return ScenarioDataset(
         dt=dt,
         truth_t=truth_t,
-        truth_rot=np.array([quat_to_rot(q) for q in column("truth", "quat", (4,))]
-                           ).reshape(-1, 3, 3),
+        truth_rot=quat_to_rot(column("truth", "quat", (4,))),
         truth_v=column("truth", "v", (3,)),
         truth_p=column("truth", "p", (3,)),
         truth_pc=column("truth", "p_c", (3,)),
@@ -410,8 +402,7 @@ def load_jsonl(path):
         meas_t=column("encoder", "t"),
         enc_q=column("encoder", "q", (6,)),
         drs_t=column("drs_pose", "t"),
-        drs_rot=np.array([quat_to_rot(q) for q in column("drs_pose", "quat", (4,))]
-                         ).reshape(-1, 3, 3),
+        drs_rot=quat_to_rot(column("drs_pose", "quat", (4,))),
         switch_t=column("contact_switch", "t"),
         switch_q=np.hstack([column("contact_switch", "q_prev", (6,)),
                             column("contact_switch", "q_new", (6,))]),

@@ -208,6 +208,10 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
     bad.write_text("profile = TM9\n")
     a_file = tmp_path / "a_file"
     a_file.write_text("")
+    # a dataset with no encoder records: nothing to score
+    no_encoder = tmp_path / "no_encoder.jsonl"
+    no_encoder.write_text("".join(
+        line for line in open(data) if '"type": "encoder"' not in line))
     out = str(tmp_path / "runs")
     cases = [
         ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", out],
@@ -219,6 +223,7 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         ["run", "--dataset", data, "--runs", "-1", "--out", out],
         ["run", "--dataset", data, "--out", str(a_file)],
         ["run", "--dataset", data, "--variant", "abc", "--out", out],
+        ["run", "--dataset", str(no_encoder), "--out", out],
         ["run"],
         ["bogus"],
         ["obs", "--blocks", "1"],

@@ -212,3 +212,80 @@ def test_pure_functions_do_not_mutate_inputs():
     xi_copy = xi.copy()
     sek3_exp(xi)
     assert np.array_equal(xi, xi_copy)
+
+
+# rotation-vector norms at the kernels' edges: zero, tiny, either side of the
+# series switch at |phi|^2 = 1e-2, and just below pi; then any angle
+_EDGE_ANGLES = [0.0, 1e-9, np.sqrt(1e-2 * (1.0 - 2e-12)),
+                np.sqrt(1e-2 * (1.0 + 2e-12)), np.pi - 1e-6]
+_ROTATION_VECTORS = st.lists(
+    st.tuples(st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(0.0, np.pi - 1e-6)),
+              _UNIT).map(lambda au: au[0] * au[1] / np.linalg.norm(au[1])),
+    min_size=1, max_size=8).map(np.array)
+
+
+def _assert_stack_equals_elementwise(fn, stack):
+    got = fn(stack)
+    want = np.array([fn(x) for x in stack])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(phis=_ROTATION_VECTORS)
+@example(phis=np.array([a * np.array([0.6, -0.48, 0.64]) for a in _EDGE_ANGLES]))
+def test_stacked_primitives_equal_their_elementwise_use(phis):
+    # so3_exp and so3_series pick their scalar kernel for one (3,) vector and
+    # a stacked branch for (n, 3); the conversions take any leading shape
+    for fn in (so3_exp, so3_series, so3_left_jacobian_inv):
+        _assert_stack_equals_elementwise(fn, phis)
+    rotations = so3_exp(phis)
+    for fn in (so3_log, rot_to_quat):
+        _assert_stack_equals_elementwise(fn, rotations)
+    quats = rot_to_quat(rotations)
+    _assert_stack_equals_elementwise(quat_to_rot, quats)
+    assert np.all(quats[:, 0] >= 0.0)
+    assert np.abs(quat_to_rot(quats) - rotations).max() < 1e-12
+    # a (2, n) leading shape gives the same entries as the flat stack
+    assert np.array_equal(so3_log(np.stack([rotations, rotations])),
+                          np.stack([so3_log(rotations)] * 2))
+
+
+def test_rot_to_quat_covers_every_shepperd_branch_and_sign_flip():
+    # the branch is the largest of (trace, R00, R11, R22): a small angle, and
+    # angles near pi about x, y and z; about a negative axis the selected row
+    # starts negative, and the quaternion is flipped to w >= 0
+    angle = np.pi - 0.1
+    axes = [np.array([0.6, -0.48, 0.64])] + [s * e for e in np.eye(3) for s in (1, -1)]
+    angles = [0.3] + [angle] * 6
+    rotations = so3_exp(np.array([a * u for a, u in zip(angles, axes)]))
+    diag = np.diagonal(rotations, axis1=1, axis2=2)
+    branches = np.argmax(np.column_stack([diag.sum(axis=1), diag]), axis=1)
+    assert set(branches.tolist()) == {0, 1, 2, 3}
+    want = np.array([np.concatenate([[np.cos(a / 2)], np.sin(a / 2) * u])
+                     for a, u in zip(angles, axes)])
+    quats = rot_to_quat(rotations)
+    assert np.abs(quats - want).max() < 1e-12
+    _assert_stack_equals_elementwise(rot_to_quat, rotations)
+
+
+def test_so3_log_at_exactly_pi_keeps_the_sign_convention():
+    # at pi, R = 2 a a^T - I for either sign of a; the log is the one whose
+    # first nonzero component is positive
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
+                     [-1.0, 1.0, 0.0], [0.0, -3.0, 4.0], [-1.0, -2.0, 2.0]])
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    rotations = 2.0 * axes[:, :, None] * axes[:, None, :] - np.eye(3)
+    first = np.array([u[np.flatnonzero(np.abs(u) > 1e-9)[0]] for u in axes])
+    want = np.pi * np.sign(first)[:, None] * axes
+    assert np.abs(so3_log(rotations) - want).max() < 1e-12
+    _assert_stack_equals_elementwise(so3_log, rotations)
+
+
+def test_quat_to_rot_rejects_a_stack_with_zero_or_nan_rows():
+    good = np.array([1.0, 0.0, 0.0, 0.0])
+    for bad in ([good, np.zeros(4), [np.nan, 0.0, 0.0, 0.0]],
+                [good, np.zeros(4)], [[np.nan, 0.0, 0.0, 0.0], good],
+                [good, [np.inf, 0.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="no finite nonzero norm"):
+            quat_to_rot(np.array(bad))
