@@ -2,9 +2,8 @@
 
 from .liegroup import (GroupElement, adjoint, compose, inverse, sek3_exp,
                        sek3_log, skew, so3_exp, so3_log)
-from .state import (BiasState, FilterState, NoiseConfig, right_invariant_error,
-                    run_covariance)
-from .kinematics import KinematicModel, SerialChain3, VirtualLeg
+from .state import BiasState, FilterState, NoiseConfig, run_covariance
+from .kinematics import KinematicModel, VirtualLeg
 from .drs import PitchProfile, drs_pose_at, make_profile
 from .filter import (FilterVariant, ImuSample, Observation, ProcessInput,
                      jump_propagate, orientation_observation,
@@ -17,9 +16,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GroupElement", "adjoint", "compose", "inverse", "sek3_exp", "sek3_log",
     "skew", "so3_exp", "so3_log",
-    "BiasState", "FilterState", "NoiseConfig", "right_invariant_error",
-    "run_covariance",
-    "KinematicModel", "SerialChain3", "VirtualLeg",
+    "BiasState", "FilterState", "NoiseConfig", "run_covariance",
+    "KinematicModel", "VirtualLeg",
     "PitchProfile", "drs_pose_at", "make_profile",
     "FilterVariant", "ImuSample", "Observation", "ProcessInput",
     "jump_propagate", "orientation_observation", "position_observation",

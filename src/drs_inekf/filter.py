@@ -292,25 +292,13 @@ def jump_propagate(state, q_tilde_at_landing, model, noise):
 
 def _event_schedule(dataset):
     """Per IMU step, the index of the contact switch, the encoder sample and
-    the surface-orientation sample that fall at the end of the step, or -1.
-
-    An event falls on the step whose end time lies within a quarter step of
-    it; two events of one stream on one step are rejected.
-    """
-    t_imu, tol = dataset.imu_t, 0.25 * dataset.dt
-    t_end = np.append(t_imu[1:], t_imu[-1:] + dataset.dt)
-    ends = np.append(t_end, np.inf)   # an event after the last step hits inf
-    schedule = np.full((t_end.size, 3), -1)
-    streams = (("contact switch", dataset.switch_t),
-               ("encoder", dataset.meas_t),
-               ("surface orientation", dataset.drs_t))
-    for col, (name, times) in enumerate(streams):
-        step = np.searchsorted(t_end, times - tol, side="right")
-        hit = ends[step] < times + tol
-        step = step[hit]
-        if np.unique(step).size < step.size:
-            raise ValueError(f"two {name} events fall on one IMU step")
-        schedule[step, col] = np.flatnonzero(hit)
+    the surface-orientation sample that fall at the end of the step, or -1."""
+    schedule = np.full((dataset.imu_t.size, 3), -1)
+    for col, times in enumerate((dataset.switch_t, dataset.meas_t,
+                                 dataset.drs_t)):
+        step = dataset.event_steps(times)
+        hit = step >= 0
+        schedule[step[hit], col] = np.flatnonzero(hit)
     return schedule
 
 
@@ -318,16 +306,11 @@ def run_variant(state, dataset, variant, model, noise):
     """Run the filter over a scenario dataset.
 
     Returns the list of filter states at measurement times.  The dataset
-    must carry time-ordered IMU, contact-velocity, measurement, and
-    contact-switch streams as produced by the scenario generator.
+    must pass ``ScenarioDataset.validate``.
     """
+    dataset.validate()
     t_imu = dataset.imu_t
-    dts = np.diff(t_imu)
-    if np.any(dts <= 0.0):
-        raise ValueError("IMU stream timestamps out of order")
-    if dataset.meas_t.size and np.any(np.diff(dataset.meas_t) <= 0.0):
-        raise ValueError("measurement stream timestamps out of order")
-    dts = np.append(dts, dataset.dt)
+    dts = np.append(np.diff(t_imu), dataset.dt)
     schedule = _event_schedule(dataset)
 
     trajectory = []

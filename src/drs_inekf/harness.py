@@ -230,8 +230,6 @@ def cli_run(args):
     outdir = pathlib.Path(args.out)
     try:
         dataset = load_jsonl(args.dataset)
-        if dataset.meas_t.size == 0:
-            raise ValueError("the dataset has no encoder records to score")
         outdir.mkdir(parents=True, exist_ok=True)
         trajectories = monte_carlo(dataset, FilterVariant(args.variant),
                                    NoiseConfig(), args.runs, args.seed)
@@ -286,7 +284,7 @@ def cli_eval(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    tol = 0.25 * dataset.dt     # load_jsonl's tolerance
+    tol = 0.25 * dataset.dt     # ScenarioDataset.validate's tolerance
     if not (ts.size and ts.min() >= dataset.truth_t[0] - tol
             and ts.max() <= dataset.truth_t[-1] + tol):
         print("error: estimate epochs lie outside the truth window",

@@ -1,11 +1,9 @@
-"""Forward-kinematics models relating joint angles to the support foot.
+"""Forward kinematics relating joint angles to the support foot.
 
-Two concrete models are provided:
-  * ``VirtualLeg`` -- an exactly invertible 6-DOF leg used by the simulator;
-    the joint vector holds the foot position (base frame) and the exponential
-    coordinates of the base-to-foot rotation.
-  * ``SerialChain3`` -- a 3-revolute-joint spatial chain with analytic
-    geometric Jacobians, used to exercise the Jacobian contracts.
+``VirtualLeg`` is an exactly invertible 6-DOF leg, the one model the
+simulator and the filter use: the joint vector holds the foot position (base
+frame) and the exponential coordinates of the base-to-foot rotation.  Its
+inverse takes one foot pose or a stack of them.
 
 The landing-jump kinematics h_c is the difference of the two legs' foot
 positions and is consumed as one function of the stacked joint vector
@@ -26,20 +24,9 @@ _J_FOOT_POSITION.flags.writeable = False
 
 
 class KinematicModel:
-    """Interface: foot position/orientation and their Jacobians."""
-
-    def h_p(self, q):
-        raise NotImplementedError
-
-    def h_R(self, q):
-        raise NotImplementedError
-
-    def J_hp(self, q):
-        raise NotImplementedError
-
-    def J_hR3(self, q):
-        """Jacobian of the third column of h_R (the foot normal)."""
-        raise NotImplementedError
+    """Landing-jump kinematics of a model with foot position ``h_p`` and its
+    Jacobian ``J_hp``; a model also gives the foot rotation ``h_R`` and the
+    Jacobian ``J_hR3`` of its third column (the foot normal)."""
 
     def h_c(self, q_stacked):
         """Jump displacement for a stacked (q_prev, q_new) joint vector."""
@@ -71,59 +58,7 @@ class VirtualLeg(KinematicModel):
         return J
 
     def inverse(self, foot_position, foot_rotation_rel):
-        """Joint vector reproducing the given base-frame foot pose exactly."""
-        return np.concatenate([foot_position, so3_log(foot_rotation_rel)])
-
-
-class SerialChain3(KinematicModel):
-    """Three revolute joints (axes z, y, y) with links along x."""
-
-    def __init__(self, lengths=(1.0, 1.0, 1.0)):
-        self.lengths = tuple(float(l) for l in lengths)
-
-    def _frames(self, q):
-        q = np.asarray(q, dtype=float)
-        l1, l2, l3 = self.lengths
-        Rz = so3_exp(np.array([0.0, 0.0, q[0]]))
-        Ry2 = so3_exp(np.array([0.0, q[1], 0.0]))
-        Ry3 = so3_exp(np.array([0.0, q[2], 0.0]))
-        ex = np.array([1.0, 0.0, 0.0])
-        R1 = Rz
-        R2 = Rz @ Ry2
-        R3 = R2 @ Ry3
-        p1 = R1 @ (l1 * ex)
-        p2 = p1 + R2 @ (l2 * ex)
-        p3 = p2 + R3 @ (l3 * ex)
-        # joint axes in the base frame
-        axes = (np.array([0.0, 0.0, 1.0]), R1 @ np.array([0.0, 1.0, 0.0]),
-                R2 @ np.array([0.0, 1.0, 0.0]))
-        origins = (np.zeros(3), p1, p2)
-        return R3, p3, axes, origins
-
-    def h_p(self, q):
-        _, p3, _, _ = self._frames(q)
-        return p3
-
-    def h_R(self, q):
-        R3, _, _, _ = self._frames(q)
-        return R3
-
-    def J_hp(self, q):
-        _, p3, axes, origins = self._frames(q)
-        return np.column_stack([np.cross(a, p3 - o) for a, o in zip(axes, origins)])
-
-    def J_hR3(self, q):
-        R3, _, axes, _ = self._frames(q)
-        n = R3 @ E3
-        return np.column_stack([np.cross(a, n) for a in axes])
-
-
-def numeric_jacobian(fn, q, step=1e-6):
-    """Central-difference Jacobian of a vector function of the joints."""
-    q = np.asarray(q, dtype=float)
-    cols = []
-    for i in range(q.size):
-        dq = np.zeros_like(q)
-        dq[i] = step
-        cols.append((fn(q + dq) - fn(q - dq)) / (2.0 * step))
-    return np.column_stack(cols)
+        """Joint vector reproducing the given base-frame foot pose exactly;
+        (n, 3) positions and (n, 3, 3) rotations give (n, 6) joint vectors."""
+        return np.concatenate([foot_position, so3_log(foot_rotation_rel)],
+                              axis=-1)

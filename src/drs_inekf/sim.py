@@ -12,10 +12,14 @@ The contact point is fixed in the surface frame during each stance; stepping
 (RM1) switches the support foot between two lateral footholds at a fixed
 period, with switch times kept off the measurement grid.
 
-Everything is evaluated on the whole time grid, with stacked SO(3)
-operations; only the leg inverse kinematics of switch and measurement steps
-runs per sample.  All noise comes from one draw, sliced in the order a
-step-by-step draw would take it.
+Everything, the leg inverse kinematics of switch and measurement steps
+included, is evaluated on the whole time grid with stacked SO(3) operations.
+All noise comes from one draw, sliced in the order a step-by-step draw would
+take it.
+
+``ScenarioDataset.validate`` is the one definition of a dataset the filter
+and the error evaluation read correctly; ``load_jsonl`` and ``run_variant``
+call it.
 """
 
 from __future__ import annotations
@@ -93,6 +97,50 @@ class ScenarioDataset:
     def initial_group_element(self):
         return GroupElement.from_parts(self.truth_rot[0], self.truth_v[0],
                                        self.truth_p[0], self.truth_pc[0])
+
+    def event_steps(self, times):
+        """Per event time, the IMU step whose end time lies within a quarter
+        step of it, or -1 for an event that falls on no step."""
+        tol = 0.25 * self.dt
+        t_end = np.append(self.imu_t[1:], self.imu_t[-1:] + self.dt)
+        step = np.searchsorted(t_end, times - tol, side="right")
+        hit = np.append(t_end, np.inf)[step] < times + tol
+        return np.where(hit, step, -1)
+
+    def validate(self):
+        """Raise ValueError unless the streams form a dataset the filter and
+        the error evaluation read correctly: the one definition of a valid
+        dataset."""
+        if not self.imu_t.size:
+            raise ValueError("dataset has no IMU records")
+        if len(self.contact_v) != self.imu_t.size:
+            raise ValueError(f"dataset has {len(self.contact_v)} contact_vel "
+                             f"records for {self.imu_t.size} IMU records")
+        # the filter is scored up to the end of the last IMU step
+        tol = 0.25 * self.dt
+        if not self.truth_t.size or self.truth_t[0] > self.imu_t[0] + tol \
+                or self.truth_t[-1] < self.imu_t[-1] + self.dt - tol:
+            raise ValueError("truth records do not span the IMU window")
+        if not self.meas_t.size:
+            raise ValueError("the dataset has no encoder records to score")
+        for name, times in (("IMU", self.imu_t), ("measurement", self.meas_t),
+                            ("truth", self.truth_t)):
+            if np.any(np.diff(times) <= 0.0):
+                raise ValueError(f"{name} stream timestamps out of order")
+        steps = [self.event_steps(t)
+                 for t in (self.switch_t, self.meas_t, self.drs_t)]
+        for name, step in zip(("contact switch", "encoder",
+                               "surface orientation"), steps):
+            step = step[step >= 0]
+            if np.unique(step).size < step.size:
+                raise ValueError(f"two {name} events fall on one IMU step")
+        # an orientation record is applied with the encoder record of its step
+        enc, orient = steps[1:]
+        off = (orient < 0) | ~np.isin(orient, enc)
+        if off.any():
+            raise ValueError(f"surface orientation record at "
+                             f"t={self.drs_t[off.argmax()]:.6g} falls on no "
+                             "encoder step")
 
 
 class _BaseReference:
@@ -243,16 +291,17 @@ def generate(config):
     imu_acc = a + bias[3:] + noise.sd_accel * step_noise[:, 3:6]
     contact_v = vc_filt + _rotate(truth_rot[:n], noise.sd_contact_vel * step_noise[:, 6:])
 
-    def leg_ik(step, pc_world):
-        R, p = truth_rot[step], truth_p[step]
-        return leg.inverse(R.T @ (pc_world - p), R.T @ R_true[step])
+    def leg_ik(steps, pc_world):
+        Rt = truth_rot[steps].transpose(0, 2, 1)
+        return leg.inverse(_rotate(Rt, pc_world - truth_p[steps]),
+                           Rt @ R_true[steps])
 
-    switch_q = np.array([np.concatenate([leg_ik(s, R_true[s] @ pc_drs[s - 1]),
-                                         leg_ik(s, truth_pc[s])])
-                         for s in switch]).reshape(-1, 12)
+    # a switch step's joints: the previous foot, then the new foot
+    switch_q = np.concatenate([
+        leg_ik(switch, _rotate(R_true[switch], pc_drs[switch - 1])),
+        leg_ik(switch, truth_pc[switch])], axis=1)
     switch_q += noise.sd_encoder * draw(switch, 1, 12)
-    enc_q = np.array([leg_ik(s, truth_pc[s]) for s in meas]).reshape(-1, 6)
-    enc_q += noise.sd_encoder * draw(meas, 2, 6)
+    enc_q = leg_ik(meas, truth_pc[meas]) + noise.sd_encoder * draw(meas, 2, 6)
     drs_rot = so3_exp(noise.sd_drs_orient * draw(orient, 3, 3)) @ R_filt[orient]
 
     meta = {
@@ -363,7 +412,7 @@ def load_jsonl(path):
         for line in fh:
             rec = json.loads(line)
             kind = rec.pop("type", None) if isinstance(rec, dict) else None
-            if kind not in records:
+            if not isinstance(kind, str) or kind not in records:
                 raise ValueError(f"unknown record type: {kind}")
             records[kind].append(rec)
     if not records["meta"]:
@@ -376,26 +425,15 @@ def load_jsonl(path):
     meta = records["meta"][-1]
     del meta["dt"]
     bias = np.array(meta.pop("bias", [0.0] * 6))
-    truth_t, imu_t = column("truth", "t"), column("imu", "t")
-    if not imu_t.size:
-        raise ValueError("dataset has no IMU records")
-    if len(records["contact_vel"]) != imu_t.size:
-        raise ValueError(f"dataset has {len(records['contact_vel'])} contact_vel "
-                         f"records for {imu_t.size} IMU records")
-    # the filter is scored up to the end of the last IMU step
-    tol = 0.25 * dt
-    if not truth_t.size or truth_t[0] > imu_t[0] + tol \
-            or truth_t[-1] < imu_t[-1] + dt - tol:
-        raise ValueError("truth records do not span the IMU window")
-    return ScenarioDataset(
+    dataset = ScenarioDataset(
         dt=dt,
-        truth_t=truth_t,
+        truth_t=column("truth", "t"),
         truth_rot=quat_to_rot(column("truth", "quat", (4,))),
         truth_v=column("truth", "v", (3,)),
         truth_p=column("truth", "p", (3,)),
         truth_pc=column("truth", "p_c", (3,)),
         bias=bias,
-        imu_t=imu_t,
+        imu_t=column("imu", "t"),
         imu_omega=column("imu", "omega", (3,)),
         imu_acc=column("imu", "acc", (3,)),
         contact_v=column("contact_vel", "v_c", (3,)),
@@ -408,3 +446,5 @@ def load_jsonl(path):
                             column("contact_switch", "q_new", (6,))]),
         meta=meta,
     )
+    dataset.validate()
+    return dataset

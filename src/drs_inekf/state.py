@@ -11,7 +11,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .liegroup import GroupElement, compose, inverse, sek3_log
+from .liegroup import GroupElement
+# not called here: the perfbench tracer wraps drs_inekf.state.compose
+from .liegroup import compose  # noqa: F401
 
 # index helpers into the 18-dim error vector
 IDX_ROT = slice(0, 3)
@@ -125,7 +127,3 @@ def run_covariance(var_pose=1.0):
 def symmetrize(P):
     return 0.5 * (P + P.T)
 
-
-def right_invariant_error(X_est, X_true):
-    """Log of the right-invariant error between estimate and truth."""
-    return sek3_log(compose(X_est, inverse(X_true)))

@@ -1,5 +1,8 @@
 """Evaluation utilities and CLI behavior."""
 
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -9,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import drs_inekf
 import drs_inekf.harness as harness
@@ -23,7 +27,8 @@ from drs_inekf.harness import (DEFAULT_THRESHOLDS, ERROR_VARS,
                                trajectory_errors)
 from drs_inekf.kinematics import VirtualLeg
 from drs_inekf.liegroup import GroupElement, so3_exp
-from drs_inekf.sim import ScenarioConfig, generate, load_jsonl, save_jsonl
+from drs_inekf.sim import (ScenarioConfig, generate, load_jsonl, save_jsonl,
+                           write_jsonl)
 from drs_inekf.state import (BiasState, FilterState, NoiseConfig,
                              run_covariance)
 
@@ -276,16 +281,21 @@ def test_cli_simulate_opens_out_before_generating(tmp_path, capsys,
     assert not calls
 
 
-@pytest.mark.parametrize("stream, message", [
-    ("imu_t", "IMU stream timestamps out of order"),
-    ("switch_t", "two contact switch events fall on one IMU step")],
-    ids=["imu_t", "switch_t"])
+@pytest.mark.parametrize("stream, shift, message", [
+    ("imu_t", None, "IMU stream timestamps out of order"),
+    ("switch_t", None, "two contact switch events fall on one IMU step"),
+    ("drs_t", 0.02,
+     "surface orientation record at t=0.12 falls on no encoder step")],
+    ids=["imu_t", "switch_t", "drs_t-shifted"])
 def test_cli_run_maps_filter_input_errors_to_exit_1(tmp_path, capsys,
-                                                    stream, message):
+                                                    stream, shift, message):
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
                                  duration=2.0, meas_rate=10.0, seed=2))
     times = getattr(ds, stream)
-    times[1] = times[0]
+    if shift is None:           # the second event at the time of the first
+        times[1] = times[0]
+    else:                       # every event of the stream shifted in time
+        times += shift
     data = tmp_path / "scenario.jsonl"
     save_jsonl(ds, data)
     assert main(["run", "--dataset", str(data),
@@ -316,10 +326,12 @@ def test_cli_run_maps_diverging_filter_to_exit_2(tmp_path, capsys):
     ("run", "imu", "omega", "imu record has no 'omega'"),
     ("run", "meta", "dt", "meta record has no 'dt'"),
     ("run", "encoder", "q", "encoder record has no 'q'"),
-    ("eval", "truth", "quat", "truth record has no 'quat'")],
+    ("eval", "truth", "quat", "truth record has no 'quat'"),
+    ("eval", "truth", (100, 101), "truth stream timestamps out of order")],
     ids=["run-short-contact-vel", "run-meta-only", "eval-meta-only",
          "run-short-truth", "run-imu-without-omega", "run-meta-without-dt",
-         "run-encoder-without-q", "eval-truth-without-quat"])
+         "run-encoder-without-q", "eval-truth-without-quat",
+         "eval-swapped-truth"])
 def test_cli_rejects_incomplete_dataset(tmp_path, capsys, command, kind,
                                         cut, message):
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
@@ -332,6 +344,10 @@ def test_cli_rejects_incomplete_dataset(tmp_path, capsys, command, kind,
         drop = {i for i, k in enumerate(kinds) if k != "meta"}
     elif isinstance(cut, int):  # the last cut records of one kind dropped
         drop = set([i for i, k in enumerate(kinds) if k == kind][-cut:])
+    elif isinstance(cut, tuple):  # two records of one kind swapped
+        drop = set()
+        i, j = ([i for i, k in enumerate(kinds) if k == kind][c] for c in cut)
+        lines[i], lines[j] = lines[j], lines[i]
     else:                       # the first record of one kind without key cut
         drop = set()
         first = kinds.index(kind)
@@ -350,6 +366,67 @@ def test_cli_rejects_incomplete_dataset(tmp_path, capsys, command, kind,
         argv = ["eval", "--truth", str(data), "--estimate", str(est)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a replaced field value: JSON values of a wrong type or shape, record kinds
+# and an integer beyond the float range
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.just(10**400),
+    st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.sampled_from(["meta", "truth", "imu", "contact_vel", "encoder",
+                     "drs_pose", "contact_switch"]))
+_FUZZ_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.integers(0, 200)),
+    st.tuples(st.just("swap"), st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.just("replace"), st.integers(0, 10**6), st.integers(0, 10),
+              _FUZZ_VALUES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["run", "eval"]),
+       edits=st.lists(_FUZZ_EDITS, min_size=1, max_size=3))
+def test_cli_fuzzed_dataset_exits_0_or_1(tmp_path_factory, command, edits):
+    # truncated lines, swapped lines and replaced field values of a small
+    # dataset: the CLI accepts the file or reports it, never a traceback
+    tmp = tmp_path_factory.mktemp("fuzz")
+    lines = list(_small_dataset_lines())
+    for edit in edits:
+        i = edit[1] % len(lines)
+        if edit[0] == "truncate":
+            lines[i] = lines[i][:edit[2]] + "\n"
+        elif edit[0] == "swap":
+            j = edit[2] % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif lines[i].endswith("}\n"):     # not a line truncated before
+            rec = json.loads(lines[i])
+            key = sorted(rec)[edit[2] % len(rec)]
+            rec[key] = edit[3]
+            lines[i] = json.dumps(rec) + "\n"
+    data = tmp / "scenario.jsonl"
+    data.write_text("".join(lines))
+    if command == "run":
+        argv = ["run", "--dataset", str(data), "--out", str(tmp / "runs")]
+    else:
+        est = tmp / "est.jsonl"
+        est.write_text(json.dumps({"t": 0.5, "quat": [1, 0, 0, 0],
+                                   "v": [0, 0, 0]}) + "\n")
+        argv = ["eval", "--truth", str(data), "--estimate", str(est)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert (code == 0) == ("error: " not in err.getvalue())
+
+
+@functools.cache
+def _small_dataset_lines():
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=1.0, meas_rate=10.0, seed=2))
+    out = io.StringIO()
+    write_jsonl(ds, out)
+    return tuple(out.getvalue().splitlines(keepends=True))
 
 
 def test_package_import_leaves_scipy_unloaded():
