@@ -296,9 +296,7 @@ def _event_schedule(dataset):
     schedule = np.full((dataset.imu_t.size, 3), -1)
     for col, times in enumerate((dataset.switch_t, dataset.meas_t,
                                  dataset.drs_t)):
-        step = dataset.event_steps(times)
-        hit = step >= 0
-        schedule[step[hit], col] = np.flatnonzero(hit)
+        schedule[dataset.event_steps(times), col] = np.arange(times.size)
     return schedule
 
 

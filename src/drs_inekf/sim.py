@@ -127,21 +127,19 @@ class ScenarioDataset:
                             ("truth", self.truth_t)):
             if np.any(np.diff(times) <= 0.0):
                 raise ValueError(f"{name} stream timestamps out of order")
-        steps = [self.event_steps(t)
-                 for t in (self.switch_t, self.meas_t, self.drs_t)]
-        for name, step in zip(("contact switch", "encoder",
-                               "surface orientation"), steps):
-            step = step[step >= 0]
+        enc_steps = self.event_steps(self.meas_t)
+        for name, times, home in (("contact switch", self.switch_t, "IMU"),
+                                  ("encoder", self.meas_t, "IMU"),
+                                  ("surface orientation", self.drs_t, "encoder")):
+            step = self.event_steps(times)
+            # an orientation record is applied with the encoder record of its
+            # step, which the encoder pass has put on the IMU grid
+            off = step < 0 if home == "IMU" else ~np.isin(step, enc_steps)
+            if off.any():
+                raise ValueError(f"{name} record at t={times[off.argmax()]:.6g}"
+                                 f" falls on no {home} step")
             if np.unique(step).size < step.size:
                 raise ValueError(f"two {name} events fall on one IMU step")
-        # an orientation record is applied with the encoder record of its step
-        enc, orient = steps[1:]
-        off = (orient < 0) | ~np.isin(orient, enc)
-        if off.any():
-            raise ValueError(f"surface orientation record at "
-                             f"t={self.drs_t[off.argmax()]:.6g} falls on no "
-                             "encoder step")
-
 
 class _BaseReference:
     """Closed-form world-frame base trajectory: bounded sway about a fixed pose."""

@@ -285,8 +285,9 @@ def test_cli_simulate_opens_out_before_generating(tmp_path, capsys,
     ("imu_t", None, "IMU stream timestamps out of order"),
     ("switch_t", None, "two contact switch events fall on one IMU step"),
     ("drs_t", 0.02,
-     "surface orientation record at t=0.12 falls on no encoder step")],
-    ids=["imu_t", "switch_t", "drs_t-shifted"])
+     "surface orientation record at t=0.12 falls on no encoder step"),
+    ("meas_t", 0.002, "encoder record at t=0.102 falls on no IMU step")],
+    ids=["imu_t", "switch_t", "drs_t-shifted", "meas_t-off-grid"])
 def test_cli_run_maps_filter_input_errors_to_exit_1(tmp_path, capsys,
                                                     stream, shift, message):
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
