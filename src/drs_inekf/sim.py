@@ -141,6 +141,7 @@ class ScenarioDataset:
             if np.unique(step).size < step.size:
                 raise ValueError(f"two {name} events fall on one IMU step")
 
+
 class _BaseReference:
     """Closed-form world-frame base trajectory: bounded sway about a fixed pose."""
 
