@@ -61,7 +61,7 @@ class ProcessInput:
         if not (0.0 < self.dt <= MAX_DT):
             raise ValueError(f"dt must be in (0, {MAX_DT}], got {self.dt}")
         vals = np.concatenate([self.imu.omega_tilde, self.imu.a_tilde, self.v_c_tilde])
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("non-finite process input")
 
 
@@ -81,15 +81,16 @@ def integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt):
     (the Gamma-function discretization of Hartley et al., IJRR 2020)."""
     phi = (omega_tilde - theta.b_omega) * dt
     acc = a_tilde - theta.b_acc
-    R = X.rot
     series = liegroup.so3_series(phi)
-    # columns R Gamma_1 a + g and R Gamma_2 a + g/2
-    acc12 = R @ (series[1:] @ acc).T + _GRAVITY_12
-    # (v, p, pc) -> (v, p + v dt, pc), then the input-driven increments
-    cols = X.cols @ np.array([[1.0, dt, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    cols[:, :2] += acc12 * (dt, dt * dt)
-    cols[:, 2] += v_c * dt
-    return GroupElement(R @ series[0], cols)
+    # R [Exp | Gamma_1 a | Gamma_2 a] as one product
+    RM = X.rot @ np.concatenate((series[0], (series[1:] @ acc).T), axis=1)
+    # [v p pc | R Gamma_1 a + g, R Gamma_2 a + g/2 | v_c] times one matrix gives
+    # (v + (R Gamma_1 a + g) dt, p + v dt + (R Gamma_2 a + g/2) dt^2, pc + v_c dt)
+    cols = np.concatenate((X.cols, RM[:, 3:] + _GRAVITY_12, v_c[:, None]),
+                          axis=1) @ np.array(
+        [1.0, dt, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0,
+         dt, 0.0, 0.0, 0.0, dt * dt, 0.0, 0.0, 0.0, dt]).reshape(6, 3)
+    return GroupElement(RM[:, :3], cols)
 
 
 def dynamics_matrix(X, theta, imu, v_c):
@@ -119,13 +120,18 @@ def error_jacobian_nobias(v_c):
 _ERROR_JACOBIAN_FIXED = _fill_error_jacobian_nobias(np.zeros((18, 18)), _ZERO3)
 
 
+def _fill_error_jacobian(A, Ad, v_c, dt):
+    """Write dt times the state-dependent blocks of the error Jacobian into A,
+    which holds dt times the fixed part (plus I for I + A dt)."""
+    np.multiply(skew(v_c), dt, out=A[9:12, 0:3])
+    # the biases act through the gyro and accel inputs, seen as -Ad_X
+    np.multiply(Ad[:, :6], -dt, out=A[:12, 12:18])
+    return A
+
+
 def error_jacobian(Ad, v_c_tilde):
     """18x18 Jacobian of the linearized invariant-error dynamics at adjoint Ad."""
-    A = _ERROR_JACOBIAN_FIXED.copy()
-    A[9:12, 0:3] = skew(v_c_tilde)
-    # the biases act through the gyro and accel inputs, seen as -Ad_X
-    A[:12, 12:18] = -Ad[:, :6]
-    return A
+    return _fill_error_jacobian(_ERROR_JACOBIAN_FIXED.copy(), Ad, v_c_tilde, 1.0)
 
 
 def process_noise_covariance(Ad, noise, dt):
@@ -133,13 +139,17 @@ def process_noise_covariance(Ad, noise, dt):
     error frame.
 
     White sensor noises are per-sample SDs at the step rate, so their
-    densities scale with dt; bias walks are densities already.
+    densities scale with dt; bias walks are densities already.  Each white
+    block is isotropic, w I, so Ad diag(w) Ad^T needs no rotation: the gyro
+    block gives w G G^T with G = Ad[:, :3], and the accel and contact-velocity
+    blocks, whose adjoint columns hold R alone, give w R R^T = w I.
     """
-    w = np.array(3 * [noise.sd_gyro**2 * dt] + 3 * [noise.sd_accel**2 * dt]
-                 + 3 * [0.0] + 3 * [noise.sd_contact_vel**2 * dt]
-                 + 3 * [noise.sd_bias_gyro**2] + 3 * [noise.sd_bias_accel**2])
-    Q = np.diag(w)
-    Q[:12, :12] = (Ad * w[:12]) @ Ad.T      # Ad diag(w) Ad^T
+    G = Ad[:, :3]
+    Q = np.zeros((18, 18))
+    np.matmul(G, G.T * (noise.sd_gyro**2 * dt), out=Q[:12, :12])
+    w = np.array((0.0, noise.sd_accel**2 * dt, 0.0, noise.sd_contact_vel**2 * dt,
+                  noise.sd_bias_gyro**2, noise.sd_bias_accel**2))
+    Q.ravel()[::19] += w.repeat(3)      # the diagonal of Q, as a view
     return Q
 
 
@@ -147,33 +157,28 @@ def propagate(state, inp, noise, variant=FilterVariant.DRS):
     """One continuous-phase propagation step (exact mean flow, first-order
     covariance transition)."""
     inp.validate()
+    dt = float(inp.dt)
     v_c = _ZERO3 if variant is FilterVariant.SRS else inp.v_c_tilde
     Ad = liegroup.adjoint(state.X)
-    A = error_jacobian(Ad, v_c)
-    Q = process_noise_covariance(Ad, noise, inp.dt)
-    X_new = integrate_mean(state.X, state.theta, inp.imu.omega_tilde,
-                           inp.imu.a_tilde, v_c, inp.dt)
     # first-order transition Phi P Phi^T + Q dt rather than the raw Euler
     # Riccati step: the quadratic term it retains keeps P positive
     # semidefinite when updates have collapsed some directions
-    Phi = _EYE18 + A * inp.dt
-    P = Phi @ state.P @ Phi.T + Q * inp.dt
+    Phi = _fill_error_jacobian(_EYE18 + _ERROR_JACOBIAN_FIXED * dt, Ad, v_c, dt)
+    X_new = integrate_mean(state.X, state.theta, inp.imu.omega_tilde,
+                           inp.imu.a_tilde, v_c, dt)
+    P = Phi @ state.P @ Phi.T + process_noise_covariance(Ad, noise, dt) * dt
     return FilterState(X_new, state.theta, symmetrize(P), state.t + inp.dt)
 
 
 def orientation_observation(q_tilde, R_drs_tilde, model, noise, R_est):
     """Surface-normal alignment observation (needs a flat support foot)."""
-    y_top = model.h_R(q_tilde) @ E3
-    d_top = R_drs_tilde @ E3
-    Y = np.concatenate([y_top, np.zeros(3)])
-    d = np.concatenate([d_top, np.zeros(3)])
-    Sd = skew(d_top)
-    J3 = model.J_hR3(q_tilde)
-    # Sd Sd^T = I - d d^T for the unit normal d; the measurement carries no
-    # information along d, so the noise model is completed to full rank there
-    # to keep the innovation covariance invertible.
-    N = (noise.sd_drs_orient**2 * (Sd @ Sd.T + np.outer(d_top, d_top))
-         + noise.sd_encoder**2 * R_est @ J3 @ J3.T @ R_est.T)
+    RJ = R_est @ model.J_hR3(q_tilde)
+    # the measurement carries no information along the unit normal d, so the
+    # noise model is completed to full rank there to keep the innovation
+    # covariance invertible: skew(d) skew(d)^T + d d^T = I
+    N = noise.sd_encoder**2 * (RJ @ RJ.T) + noise.sd_drs_orient**2 * _EYE3
+    Y = np.concatenate((model.h_R(q_tilde)[:, 2], _ZERO3))
+    d = np.concatenate((R_drs_tilde[:, 2], _ZERO3))
     return Observation("orientation", Y, d, N)
 
 
@@ -181,8 +186,8 @@ def position_observation(q_tilde, model, noise, R_est):
     """Leg-odometry position observation."""
     Y = np.concatenate([model.h_p(q_tilde), [0.0, 1.0, -1.0]])
     d = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
-    Jp = model.J_hp(q_tilde)
-    N = noise.sd_encoder**2 * R_est @ Jp @ Jp.T @ R_est.T
+    RJ = R_est @ model.J_hp(q_tilde)
+    N = noise.sd_encoder**2 * (RJ @ RJ.T)
     return Observation("position", Y, d, N)
 
 
@@ -203,10 +208,13 @@ def observation_row(kind, normal):
 
 
 def innovation(state, obs):
-    """Top three rows of X*Y - d."""
-    Xm = state.X
-    y = obs.Y
-    return Xm.rot @ y[:3] + Xm.cols @ y[3:] - obs.d[:3]
+    """Top three rows of X*Y - d, the top rows of X being [R | v p pc]."""
+    return _innovations(state.X, [obs])
+
+
+def _innovations(X, observations):
+    top = np.concatenate((X.rot, X.cols), axis=1)
+    return np.concatenate([top @ obs.Y - obs.d[:3] for obs in observations])
 
 
 MAX_SUBSTEP_ROT = 0.1
@@ -217,17 +225,18 @@ def _gain(P, H, N, t):
     """Gain P H^T S^-1, S = H P H^T + N; None (logged) if S is ill-conditioned.
 
     S is symmetric, so its 2-norm condition number max|l| / min|l| comes
-    from its eigenvalues l, and eigvalsh raises LinAlgError on a NaN or inf.
+    from its eigenvalues l, and eigh raises LinAlgError on a NaN or inf; the
+    same eigendecomposition S = V diag(l) V^T solves for the gain.
     """
     HP = H @ P
-    S = HP @ H.T + N
-    magnitudes = [abs(lam) for lam in np.linalg.eigvalsh(S).tolist()]
+    lam, V = np.linalg.eigh(HP @ H.T + N)
+    magnitudes = [abs(x) for x in lam.tolist()]
     lo, hi = min(magnitudes), max(magnitudes)
     if lo == 0.0 or hi > COND_LIMIT * lo:
         log.warning("update skipped at t=%.4f: innovation covariance "
                     "ill-conditioned", t)
         return None
-    return np.linalg.solve(S, HP).T
+    return HP.T @ V / lam @ V.T
 
 
 def update(state, observations):
@@ -243,21 +252,20 @@ def update(state, observations):
         raise ValueError("update needs at least one observation")
     k = len(observations)
     H = np.zeros((3 * k, 18))
-    z = np.zeros(3 * k)
     Nbar = np.zeros((3 * k, 3 * k))
     for i, obs in enumerate(observations):
         rows = slice(3 * i, 3 * i + 3)
         H[rows, :12] = observation_row(obs.kind, obs.d[:3])
-        z[rows] = innovation(state, obs)
         Nbar[rows, rows] = obs.N
+    z = _innovations(state.X, observations)
     L = _gain(state.P, H, Nbar, state.t)
     if L is None:
         return state
     dx = L @ z
-    rot_step = np.linalg.norm(dx[:3])
+    rot_step = math.hypot(*dx[:3].tolist())
     n_steps = min(MAX_SUBSTEPS, max(1, math.ceil(rot_step / MAX_SUBSTEP_ROT)))
 
-    Nsub = Nbar * n_steps
+    Nsub = Nbar * n_steps if n_steps > 1 else Nbar
     X, theta, P = state.X, state.theta, state.P
     for step in range(n_steps):
         # one step keeps the sizing gain; sub-steps change S through m*N and P
@@ -266,8 +274,7 @@ def update(state, observations):
             if L is None:
                 return state
             if step > 0:
-                tmp = FilterState(X, theta, P, state.t)
-                z = np.concatenate([innovation(tmp, obs) for obs in observations])
+                z = _innovations(X, observations)
             dx = L @ z
         X = compose(sek3_exp(dx[:12]), X)
         theta = BiasState(theta.b_omega + dx[12:15], theta.b_acc + dx[15:])

@@ -15,12 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 _SERIES_ANGLE_SQ = 1e-2
+_BLOCK_EYE4 = np.eye(4)[:, None, :, None]
 
 
 def skew(v):
     """Cross-product matrix: skew(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array((0.0, -z, y, z, 0.0, -x, -y, x, 0.0)).reshape(3, 3)
+
+
+# row k is skew(e_k) flattened, so v @ _SKEW_BASIS is skew(v) flattened
+_SKEW_BASIS = np.array([skew(e).ravel() for e in np.eye(3)])
 
 
 def unskew(M):
@@ -260,14 +265,9 @@ def inverse(A):
 
 def adjoint(X):
     """12x12 adjoint: adjoint(X) @ xi == vee(X hat(xi) X^-1)."""
-    Ad = np.zeros((12, 12))
     R = X.rot
-    for i in range(4):
-        Ad[3 * i:3 * i + 3, 3 * i:3 * i + 3] = R
+    # R on the four diagonal blocks as one broadcast product
+    Ad = (_BLOCK_EYE4 * R[:, None, :]).reshape(12, 12)
     # skew(v) R, skew(p) R and skew(pc) R as one 9x3 stack times R
-    (vx, px, cx), (vy, py, cy), (vz, pz, cz) = X.cols.tolist()
-    Ad[3:, :3] = np.array([0.0, -vz, vy, vz, 0.0, -vx, -vy, vx, 0.0,
-                           0.0, -pz, py, pz, 0.0, -px, -py, px, 0.0,
-                           0.0, -cz, cy, cz, 0.0, -cx, -cy, cx, 0.0]
-                          ).reshape(9, 3) @ R
+    np.matmul((X.cols.T @ _SKEW_BASIS).reshape(9, 3), R, out=Ad[3:, :3])
     return Ad

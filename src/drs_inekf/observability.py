@@ -46,18 +46,15 @@ def observability_matrix(R_drs, dt, n_blocks, include_orientation=True):
 
 
 def numerical_rank(M, rtol=RANK_RTOL):
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return _rank_and_null_space(M, rtol)[0]
 
 
-def _null_space(M, rtol=RANK_RTOL):
+def _rank_and_null_space(M, rtol=RANK_RTOL):
+    """Numerical rank and an orthonormal null-space basis (as columns) from
+    one full SVD: the right singular vectors past the rank."""
     _, s, Vt = np.linalg.svd(M)
-    mask = np.zeros(Vt.shape[0], dtype=bool)
-    mask[s.size:] = True
-    mask[:s.size] = s <= rtol * (s[0] if s.size else 1.0)
-    return Vt[mask].T
+    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0.0 else 0
+    return rank, Vt[rank:].T
 
 
 def _direction_observable(null_basis, direction, tol=1e-6):
@@ -86,8 +83,7 @@ class ObservabilityReport:
 def observability_report(R_drs, dt=1e-2, n_blocks=3, include_orientation=True):
     O = observability_matrix(R_drs, dt, n_blocks,
                              include_orientation=include_orientation)
-    rank = numerical_rank(O)
-    ns = _null_space(O)
+    rank, ns = _rank_and_null_space(O)
 
     def block_dir(block, axis):
         d = np.zeros(12)

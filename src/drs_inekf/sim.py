@@ -446,4 +446,10 @@ def load_jsonl(path):
         meta=meta,
     )
     dataset.validate()
+    # the n-th contact_vel record is the n-th IMU record's, within a quarter step
+    vc_t = column("contact_vel", "t")
+    off = np.abs(vc_t - dataset.imu_t) >= 0.25 * dt
+    if off.any():
+        raise ValueError(f"contact_vel record at t={vc_t[off][0]:.6g} does not "
+                         f"match its IMU record at t={dataset.imu_t[off][0]:.6g}")
     return dataset

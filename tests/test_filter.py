@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import drs_inekf.filter as filter_module
-from drs_inekf.filter import (COND_LIMIT, GRAVITY, MAX_SUBSTEP_ROT,
+from drs_inekf.filter import (COND_LIMIT, E3, GRAVITY, MAX_SUBSTEP_ROT,
                               MAX_SUBSTEPS, FilterVariant, ImuSample,
-                              ProcessInput, dynamics_matrix, error_jacobian,
-                              innovation, integrate_mean, jump_propagate,
-                              observation_row, orientation_observation,
-                              position_observation, propagate, run_variant,
-                              update)
+                              Observation, ProcessInput, dynamics_matrix,
+                              error_jacobian, innovation, integrate_mean,
+                              jump_propagate, observation_row,
+                              orientation_observation, position_observation,
+                              process_noise_covariance, propagate,
+                              run_variant, update)
 from drs_inekf.kinematics import VirtualLeg
+from drs_inekf.harness import initial_state_for_run
 from drs_inekf.liegroup import (GroupElement, adjoint, compose, inverse,
-                                sek3_exp, sek3_log, so3_exp)
+                                sek3_exp, sek3_log, skew, so3_exp,
+                                so3_series)
 from drs_inekf.observability import error_jacobian_nobias
 from drs_inekf.sim import ScenarioConfig, generate
 from drs_inekf.drs import PitchProfile
@@ -251,6 +255,26 @@ def test_update_covariance_stays_psd_with_large_errors():
         assert np.linalg.eigvalsh(out.P).min() > -1e-12
 
 
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xi=arrays(float, 12, elements=st.floats(-2.0, 2.0)),
+       q=arrays(float, 6, elements=_UNIT), pitch=st.floats(-0.2, 0.2))
+def test_update_keeps_covariance_symmetric_psd_property(xi, q, pitch):
+    # a drawn state far from what the joint vector and the surface report:
+    # attitude errors up to about 3.5 rad and position errors of meters
+    st_ = FilterState(sek3_exp(xi), BiasState(), run_covariance(), 0.0)
+    leg = VirtualLeg()
+    noise = NoiseConfig()
+    R_drs = so3_exp(np.array([0.0, pitch, 0.0]))
+    obs = [orientation_observation(q, R_drs, leg, noise, st_.X.rot),
+           position_observation(q, leg, noise, st_.X.rot)]
+    out = update(st_, obs)
+    assert np.allclose(out.P, out.P.T, atol=1e-10)
+    assert np.linalg.eigvalsh(out.P).min() > -1e-12
+
+
 def test_update_skips_on_singular_innovation_covariance(caplog):
     leg = VirtualLeg()
     zero_noise = NoiseConfig(sd_gyro=0.0, sd_accel=0.0, sd_bias_gyro=0.0,
@@ -294,6 +318,11 @@ def test_gain_raises_on_non_finite_innovation_covariance(bad):
         filter_module._gain(P, H, np.eye(3), 0.0)
 
 
+def _reference_innovation(state, obs):
+    X = state.X
+    return X.rot @ obs.Y[:3] + X.cols @ obs.Y[3:] - obs.d[:3]
+
+
 def _reference_update(state, observations):
     """The update as first written: cond and solve to size the sub-steps,
     then cond and inv again for every sub-step's gain."""
@@ -304,7 +333,7 @@ def _reference_update(state, observations):
     for i, obs in enumerate(observations):
         rows = slice(3 * i, 3 * i + 3)
         H[rows, :12] = observation_row(obs.kind, obs.d[:3])
-        z[rows] = innovation(state, obs)
+        z[rows] = _reference_innovation(state, obs)
         Nbar[rows, rows] = obs.N
     S = H @ state.P @ H.T + Nbar
     if np.linalg.cond(S) > COND_LIMIT:
@@ -321,7 +350,8 @@ def _reference_update(state, observations):
         L = P @ H.T @ np.linalg.inv(S)
         if step > 0:
             tmp = FilterState(X, theta, P, state.t)
-            z = np.concatenate([innovation(tmp, obs) for obs in observations])
+            z = np.concatenate([_reference_innovation(tmp, obs)
+                                for obs in observations])
         dx = L @ z
         X = compose(sek3_exp(dx[:12]), X)
         theta = BiasState.from_vector(theta.as_vector() + dx[12:])
@@ -352,6 +382,161 @@ def test_update_matches_reference_gain_sequence(monkeypatch, substeps):
     assert np.abs(out.X.as_matrix() - ref.X.as_matrix()).max() < 1e-12
     assert np.abs(out.theta.as_vector() - ref.theta.as_vector()).max() < 1e-12
     assert np.abs(out.P - ref.P).max() < 1e-12
+
+
+# The step as written before its per-step matrices were assembled in place:
+# the adjoint block by block, I + A dt from the error Jacobian, the noise
+# sandwich Ad diag(w) Ad^T, the mean flow term by term and the orientation
+# noise with its skew completion.
+
+
+def _reference_adjoint(X):
+    Ad = np.zeros((12, 12))
+    for i in range(4):
+        Ad[3 * i:3 * i + 3, 3 * i:3 * i + 3] = X.rot
+    for i, col in enumerate(X.cols.T, start=1):
+        Ad[3 * i:3 * i + 3, :3] = skew(col) @ X.rot
+    return Ad
+
+
+def _reference_noise(Ad, noise, dt):
+    w = np.array(3 * [noise.sd_gyro**2 * dt] + 3 * [noise.sd_accel**2 * dt]
+                 + 3 * [0.0] + 3 * [noise.sd_contact_vel**2 * dt]
+                 + 3 * [noise.sd_bias_gyro**2] + 3 * [noise.sd_bias_accel**2])
+    Q = np.diag(w)
+    Q[:12, :12] = (Ad * w[:12]) @ Ad.T
+    return Q
+
+
+def _reference_integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt):
+    Exp, G1, G2 = so3_series((omega_tilde - theta.b_omega) * dt)
+    acc = a_tilde - theta.b_acc
+    R = X.rot
+    return GroupElement.from_parts(
+        R @ Exp, X.v + (R @ G1 @ acc + GRAVITY) * dt,
+        X.p + X.v * dt + (R @ G2 @ acc + 0.5 * GRAVITY) * dt**2,
+        X.pc + v_c * dt)
+
+
+def _reference_propagate(state, inp, noise, variant):
+    v_c = np.zeros(3) if variant is FilterVariant.SRS else inp.v_c_tilde
+    Ad = _reference_adjoint(state.X)
+    Phi = np.eye(18) + error_jacobian(Ad, v_c) * inp.dt
+    P = Phi @ state.P @ Phi.T + _reference_noise(Ad, noise, inp.dt) * inp.dt
+    X = _reference_integrate_mean(state.X, state.theta, inp.imu.omega_tilde,
+                                  inp.imu.a_tilde, v_c, inp.dt)
+    return FilterState(X, state.theta, symmetrize(P), state.t + inp.dt)
+
+
+def _reference_orientation_observation(q, R_drs, model, noise, R_est):
+    d = R_drs @ E3
+    Sd = skew(d)
+    J3 = model.J_hR3(q)
+    N = (noise.sd_drs_orient**2 * (Sd @ Sd.T + np.outer(d, d))
+         + noise.sd_encoder**2 * R_est @ J3 @ J3.T @ R_est.T)
+    return Observation("orientation", np.r_[model.h_R(q) @ E3, 0.0, 0.0, 0.0],
+                       np.r_[d, 0.0, 0.0, 0.0], N)
+
+
+def _reference_position_observation(q, model, noise, R_est):
+    Jp = model.J_hp(q)
+    return Observation("position", np.r_[model.h_p(q), 0.0, 1.0, -1.0],
+                       np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0]),
+                       noise.sd_encoder**2 * R_est @ Jp @ Jp.T @ R_est.T)
+
+
+def _reference_run(state, ds, variant, model, noise):
+    dts = np.append(np.diff(ds.imu_t), ds.dt)
+    switch, meas, orient = ({int(k): j for j, k in enumerate(ds.event_steps(t))}
+                            for t in (ds.switch_t, ds.meas_t, ds.drs_t))
+    trajectory = []
+    for k in range(ds.imu_t.size):
+        imu = ImuSample(ds.imu_omega[k], ds.imu_acc[k], ds.imu_t[k])
+        state = _reference_propagate(
+            state, ProcessInput(imu, ds.contact_v[k], dts[k]), noise, variant)
+        if k in switch:
+            state = jump_propagate(state, ds.switch_q[switch[k]], model, noise)
+        if k in meas:
+            q = ds.enc_q[meas[k]]
+            obs = [_reference_position_observation(q, model, noise,
+                                                   state.X.rot)]
+            if variant is FilterVariant.DRS and k in orient:
+                obs.insert(0, _reference_orientation_observation(
+                    q, ds.drs_rot[orient[k]], model, noise, state.X.rot))
+            state = _reference_update(state, obs)
+            trajectory.append(state)
+    return trajectory
+
+
+def _relative(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(xi=arrays(float, 12, elements=st.floats(-3.0, 3.0)),
+       dt=st.floats(1e-4, 0.1))
+def test_noise_covariance_matches_adjoint_sandwich(xi, dt):
+    Ad = adjoint(sek3_exp(xi))
+    noise = NoiseConfig()
+    assert _relative(process_noise_covariance(Ad, noise, dt),
+                     _reference_noise(Ad, noise, dt)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(xi=arrays(float, 12, elements=st.floats(-3.0, 3.0)),
+       bias=arrays(float, 6, elements=st.floats(-0.1, 0.1)),
+       omega=arrays(float, 3, elements=st.floats(-3.0, 3.0)),
+       acc=arrays(float, 3, elements=st.floats(-20.0, 20.0)),
+       v_c=arrays(float, 3, elements=_UNIT), dt=st.floats(1e-4, 0.1),
+       variant=st.sampled_from(FilterVariant), seed=st.integers(0, 2**32 - 1))
+def test_propagate_matches_first_order_reference_step(xi, bias, omega, acc,
+                                                       v_c, dt, variant, seed):
+    # the SRS variant propagates with a zero contact velocity
+    B = np.random.default_rng(seed).standard_normal((18, 18))
+    state = FilterState(sek3_exp(xi), BiasState.from_vector(bias),
+                        B @ B.T / 18.0 + run_covariance(1e-2), 0.3)
+    inp = ProcessInput(ImuSample(omega, acc, 0.3), v_c, dt)
+    out = propagate(state, inp, NoiseConfig(), variant)
+    ref = _reference_propagate(state, inp, NoiseConfig(), variant)
+    assert _relative(out.P, ref.P) < 1e-12
+    assert _relative(out.X.rot, ref.X.rot) < 1e-12
+    assert _relative(out.X.cols, ref.X.cols) < 1e-12
+    assert out.t == ref.t
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=arrays(float, 6, elements=_UNIT),
+       surface=arrays(float, 3, elements=st.floats(-0.5, 0.5)),
+       rot=arrays(float, 3, elements=st.floats(-3.0, 3.0)))
+def test_orientation_noise_matches_skew_completion(q, surface, rot):
+    leg = VirtualLeg()
+    noise = NoiseConfig()
+    R_drs, R_est = so3_exp(surface), so3_exp(rot)
+    obs = orientation_observation(q, R_drs, leg, noise, R_est)
+    ref = _reference_orientation_observation(q, R_drs, leg, noise, R_est)
+    assert _relative(obs.N, ref.N) < 1e-12
+    assert np.array_equal(obs.Y, ref.Y) and np.array_equal(obs.d, ref.d)
+
+
+@pytest.mark.parametrize("variant", list(FilterVariant), ids=lambda v: v.value)
+def test_run_variant_matches_reference_step_on_case_a(variant):
+    # criterion 5's scenario: 1,600 IMU steps with landing jumps, 800 updates
+    # and large initial errors, so the first updates take sub-steps
+    cfg = ScenarioConfig(profile=PitchProfile(kind="TM1", phase_s=2.8),
+                         robot_motion="RM1", duration=8.0, imu_rate=200.0,
+                         meas_rate=100.0, orient_rate=15.0, seed=1)
+    ds = generate(cfg)
+    assert ds.imu_t.size == 1600 and ds.switch_t.size > 0
+    start = initial_state_for_run(ds, np.random.default_rng(1))
+    leg, noise = VirtualLeg(), NoiseConfig()
+    out = run_variant(start, ds, variant, leg, noise)
+    ref = _reference_run(start, ds, variant, leg, noise)
+    assert len(out) == len(ref) == ds.meas_t.size
+    for a, b in zip(out, ref):
+        assert a.t == b.t
+        assert np.abs(a.X.as_matrix() - b.X.as_matrix()).max() < 1e-11
+        assert np.abs(a.theta.as_vector() - b.theta.as_vector()).max() < 1e-11
+        assert np.abs(a.P - b.P).max() < 1e-11
 
 
 def test_update_requires_observations():

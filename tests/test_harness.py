@@ -328,11 +328,13 @@ def test_cli_run_maps_diverging_filter_to_exit_2(tmp_path, capsys):
     ("run", "meta", "dt", "meta record has no 'dt'"),
     ("run", "encoder", "q", "encoder record has no 'q'"),
     ("eval", "truth", "quat", "truth record has no 'quat'"),
-    ("eval", "truth", (100, 101), "truth stream timestamps out of order")],
+    ("eval", "truth", (100, 101), "truth stream timestamps out of order"),
+    ("run", "contact_vel", (50, 120), "contact_vel record at t=0.6 does not "
+     "match its IMU record at t=0.25")],
     ids=["run-short-contact-vel", "run-meta-only", "eval-meta-only",
          "run-short-truth", "run-imu-without-omega", "run-meta-without-dt",
          "run-encoder-without-q", "eval-truth-without-quat",
-         "eval-swapped-truth"])
+         "eval-swapped-truth", "run-swapped-contact-vel"])
 def test_cli_rejects_incomplete_dataset(tmp_path, capsys, command, kind,
                                         cut, message):
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),

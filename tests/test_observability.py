@@ -73,10 +73,10 @@ def test_yaw_needs_orientation_observation():
 def test_position_difference_is_observable():
     # the direction p and pc moving together lies in the null space; the
     # direction moving oppositely does not
-    from drs_inekf.observability import _null_space
+    from drs_inekf.observability import _rank_and_null_space
     R = so3_exp(np.array([0.0, np.radians(5.0), 0.0]))
     O = observability_matrix(R, 1e-2, 3)
-    ns = _null_space(O)
+    ns = _rank_and_null_space(O)[1]
     together = np.zeros(12)
     together[6] = together[9] = 1.0
     together /= np.linalg.norm(together)
