@@ -83,13 +83,13 @@ def integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt):
     acc = a_tilde - theta.b_acc
     series = liegroup.so3_series(phi)
     # R [Exp | Gamma_1 a | Gamma_2 a] as one product
-    RM = X.rot @ np.concatenate((series[0], (series[1:] @ acc).T), axis=1)
+    RM = X.rot.dot(np.concatenate((series[0], series[1:].dot(acc).T), axis=1))
     # [v p pc | R Gamma_1 a + g, R Gamma_2 a + g/2 | v_c] times one matrix gives
     # (v + (R Gamma_1 a + g) dt, p + v dt + (R Gamma_2 a + g/2) dt^2, pc + v_c dt)
     cols = np.concatenate((X.cols, RM[:, 3:] + _GRAVITY_12, v_c[:, None]),
-                          axis=1) @ np.array(
+                          axis=1).dot(np.array(
         [1.0, dt, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0,
-         dt, 0.0, 0.0, 0.0, dt * dt, 0.0, 0.0, 0.0, dt]).reshape(6, 3)
+         dt, 0.0, 0.0, 0.0, dt * dt, 0.0, 0.0, 0.0, dt]).reshape(6, 3))
     return GroupElement(RM[:, :3], cols)
 
 
@@ -146,7 +146,7 @@ def process_noise_covariance(Ad, noise, dt):
     """
     G = Ad[:, :3]
     Q = np.zeros((18, 18))
-    np.matmul(G, G.T * (noise.sd_gyro**2 * dt), out=Q[:12, :12])
+    Q[:12, :12] = (G * (noise.sd_gyro**2 * dt)).dot(G.T)
     w = np.array((0.0, noise.sd_accel**2 * dt, 0.0, noise.sd_contact_vel**2 * dt,
                   noise.sd_bias_gyro**2, noise.sd_bias_accel**2))
     Q.ravel()[::19] += w.repeat(3)      # the diagonal of Q, as a view
@@ -166,17 +166,17 @@ def propagate(state, inp, noise, variant=FilterVariant.DRS):
     Phi = _fill_error_jacobian(_EYE18 + _ERROR_JACOBIAN_FIXED * dt, Ad, v_c, dt)
     X_new = integrate_mean(state.X, state.theta, inp.imu.omega_tilde,
                            inp.imu.a_tilde, v_c, dt)
-    P = Phi @ state.P @ Phi.T + process_noise_covariance(Ad, noise, dt) * dt
+    P = Phi.dot(state.P).dot(Phi.T) + process_noise_covariance(Ad, noise, dt) * dt
     return FilterState(X_new, state.theta, symmetrize(P), state.t + inp.dt)
 
 
 def orientation_observation(q_tilde, R_drs_tilde, model, noise, R_est):
     """Surface-normal alignment observation (needs a flat support foot)."""
-    RJ = R_est @ model.J_hR3(q_tilde)
+    RJ = R_est.dot(model.J_hR3(q_tilde))
     # the measurement carries no information along the unit normal d, so the
     # noise model is completed to full rank there to keep the innovation
     # covariance invertible: skew(d) skew(d)^T + d d^T = I
-    N = noise.sd_encoder**2 * (RJ @ RJ.T) + noise.sd_drs_orient**2 * _EYE3
+    N = noise.sd_encoder**2 * RJ.dot(RJ.T) + noise.sd_drs_orient**2 * _EYE3
     Y = np.concatenate((model.h_R(q_tilde)[:, 2], _ZERO3))
     d = np.concatenate((R_drs_tilde[:, 2], _ZERO3))
     return Observation("orientation", Y, d, N)
@@ -186,8 +186,8 @@ def position_observation(q_tilde, model, noise, R_est):
     """Leg-odometry position observation."""
     Y = np.concatenate([model.h_p(q_tilde), [0.0, 1.0, -1.0]])
     d = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
-    RJ = R_est @ model.J_hp(q_tilde)
-    N = noise.sd_encoder**2 * (RJ @ RJ.T)
+    RJ = R_est.dot(model.J_hp(q_tilde))
+    N = noise.sd_encoder**2 * RJ.dot(RJ.T)
     return Observation("position", Y, d, N)
 
 
@@ -214,7 +214,7 @@ def innovation(state, obs):
 
 def _innovations(X, observations):
     top = np.concatenate((X.rot, X.cols), axis=1)
-    return np.concatenate([top @ obs.Y - obs.d[:3] for obs in observations])
+    return np.concatenate([top.dot(obs.Y) - obs.d[:3] for obs in observations])
 
 
 MAX_SUBSTEP_ROT = 0.1
@@ -228,15 +228,15 @@ def _gain(P, H, N, t):
     from its eigenvalues l, and eigh raises LinAlgError on a NaN or inf; the
     same eigendecomposition S = V diag(l) V^T solves for the gain.
     """
-    HP = H @ P
-    lam, V = np.linalg.eigh(HP @ H.T + N)
+    HP = H.dot(P)
+    lam, V = np.linalg.eigh(HP.dot(H.T) + N)
     magnitudes = [abs(x) for x in lam.tolist()]
     lo, hi = min(magnitudes), max(magnitudes)
     if lo == 0.0 or hi > COND_LIMIT * lo:
         log.warning("update skipped at t=%.4f: innovation covariance "
                     "ill-conditioned", t)
         return None
-    return HP.T @ V / lam @ V.T
+    return (HP.T.dot(V) / lam).dot(V.T)
 
 
 def update(state, observations):
@@ -261,7 +261,7 @@ def update(state, observations):
     L = _gain(state.P, H, Nbar, state.t)
     if L is None:
         return state
-    dx = L @ z
+    dx = L.dot(z)
     rot_step = math.hypot(*dx[:3].tolist())
     n_steps = min(MAX_SUBSTEPS, max(1, math.ceil(rot_step / MAX_SUBSTEP_ROT)))
 
@@ -275,12 +275,12 @@ def update(state, observations):
                 return state
             if step > 0:
                 z = _innovations(X, observations)
-            dx = L @ z
+            dx = L.dot(z)
         X = compose(sek3_exp(dx[:12]), X)
         theta = BiasState(theta.b_omega + dx[12:15], theta.b_acc + dx[15:])
         # Joseph form keeps P positive semidefinite under large gains
-        ILH = _EYE18 - L @ H
-        P = symmetrize(ILH @ P @ ILH.T + L @ Nsub @ L.T)
+        ILH = _EYE18 - L.dot(H)
+        P = symmetrize(ILH.dot(P).dot(ILH.T) + L.dot(Nsub).dot(L.T))
     return FilterState(X, theta, P, state.t)
 
 

@@ -244,7 +244,7 @@ def sek3_exp(xi):
     """Closed-form exponential: SO(3) exp plus left Jacobian on each column."""
     xi = np.asarray(xi, dtype=float)
     R, J, _ = so3_series(xi[:3])
-    return GroupElement(R, J @ xi[3:].reshape(3, 3).T)
+    return GroupElement(R, J.dot(xi[3:].reshape(3, 3).T))
 
 
 def sek3_log(X):
@@ -255,7 +255,7 @@ def sek3_log(X):
 
 
 def compose(A, B):
-    return GroupElement(A.rot @ B.rot, A.rot @ B.cols + A.cols)
+    return GroupElement(A.rot.dot(B.rot), A.rot.dot(B.cols) + A.cols)
 
 
 def inverse(A):
@@ -269,5 +269,5 @@ def adjoint(X):
     # R on the four diagonal blocks as one broadcast product
     Ad = (_BLOCK_EYE4 * R[:, None, :]).reshape(12, 12)
     # skew(v) R, skew(p) R and skew(pc) R as one 9x3 stack times R
-    np.matmul((X.cols.T @ _SKEW_BASIS).reshape(9, 3), R, out=Ad[3:, :3])
+    Ad[3:, :3] = X.cols.T.dot(_SKEW_BASIS).reshape(9, 3).dot(R)
     return Ad
