@@ -23,7 +23,7 @@ from .filter import FilterVariant, run_variant
 from .kinematics import VirtualLeg
 from .liegroup import GroupElement, quat_to_rot, rot_to_quat, so3_exp, so3_log
 from .sim import (ScenarioConfig, generate, initial_error_draw, load_jsonl,
-                  read_column, write_jsonl)
+                  read_column, read_jsonl, write_jsonl)
 from .state import (BiasState, FilterState, NoiseConfig, read_config,
                     run_covariance)
 from .observability import tilt_sweep
@@ -36,6 +36,7 @@ DEFAULT_THRESHOLDS = {
 POST_WINDOW_START = 5.0
 # a covariance eigenvalue below -PSD_TOL times the largest one is not rounding
 PSD_TOL = 1e-9
+_CHUNK = 64     # states that `run` stacks at a time to check and to write
 
 
 def error_angles(R_est, R_true):
@@ -147,22 +148,47 @@ def monte_carlo(dataset, variant, noise, n_runs, seed):
     return trajectories
 
 
+def _run_fault(trajectory):
+    """What `run` reports of a trajectory, or None: a non-finite state before
+    a covariance with lambda_min < -PSD_TOL lambda_max.  A chunk whose
+    Cholesky factor exists passes (README, numerical notes)."""
+    psd = True
+    for start in range(0, len(trajectory), _CHUNK):
+        chunk = trajectory[start:start + _CHUNK]
+        P = np.array([st.P for st in chunk])
+        if not all(np.isfinite(a).all() for a in (
+                P, [st.X.rot for st in chunk], [st.X.cols for st in chunk],
+                [(st.theta.b_omega, st.theta.b_acc) for st in chunk])):
+            return "a non-finite state"
+        if psd:
+            try:
+                np.linalg.cholesky(P)
+            except np.linalg.LinAlgError:
+                lam = np.linalg.eigvalsh(P)
+                psd = not np.any(lam[:, 0] < -PSD_TOL * lam[:, -1])
+    return None if psd else "a covariance that is not positive semidefinite"
+
+
 def save_trajectory(trajectory, path):
-    quats = rot_to_quat(np.array([st.X.rot for st in trajectory]).reshape(-1, 3, 3))
+    """One JSON record per state, written _CHUNK states at a time from stacked
+    ``tolist`` fields: json writes any float as its ``repr``."""
     with open(path, "w") as fh:
-        for st, quat in zip(trajectory, quats.tolist()):
-            fh.write(json.dumps({
-                "t": st.t, "quat": quat,
-                "v": list(st.X.v), "p": list(st.X.p), "p_c": list(st.X.pc),
-                "b_omega": list(st.theta.b_omega), "b_acc": list(st.theta.b_acc),
-                "p_diag": list(np.diag(st.P)),
-            }) + "\n")
+        for start in range(0, len(trajectory), _CHUNK):
+            chunk = trajectory[start:start + _CHUNK]
+            quats = rot_to_quat(np.array([st.X.rot for st in chunk]))
+            vectors = np.array([(*st.X.cols.T, st.theta.b_omega, st.theta.b_acc)
+                                for st in chunk])
+            p_diag = np.array([st.P.diagonal() for st in chunk])
+            fh.write("".join(json.dumps({
+                "t": st.t, "quat": quat, "v": v, "p": p, "p_c": pc,
+                "b_omega": b_omega, "b_acc": b_acc, "p_diag": diag,
+            }) + "\n" for st, quat, (v, p, pc, b_omega, b_acc), diag in
+                zip(chunk, quats.tolist(), vectors.tolist(), p_diag.tolist())))
 
 
 def load_trajectory_arrays(path):
     """Times, rotations, velocities from a trajectory JSONL file."""
-    with open(path) as fh:
-        records = [json.loads(line) for line in fh]
+    records = read_jsonl(path)
     if not all(isinstance(rec, dict) for rec in records):
         raise ValueError(f"{path}: a line is not a trajectory record")
     ts = read_column(records, "trajectory", "t")
@@ -211,13 +237,13 @@ def parse_scenario_config(path):
 def cli_simulate(args):
     try:
         config = parse_scenario_config(args.config)
+        # open --out first: a path that cannot be written fails before generating
+        with open(args.out, "w") as fh:
+            dataset = generate(config)
+            write_jsonl(dataset, fh)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # open --out first: a path that cannot be written fails before generating
-    with open(args.out, "w") as fh:
-        dataset = generate(config)
-        write_jsonl(dataset, fh)
     max_vc = float(np.max(np.linalg.norm(dataset.contact_v, axis=1)))
     print(f"wrote {args.out}: duration {config.duration} s, "
           f"{dataset.imu_t.size} IMU samples, {dataset.meas_t.size} "
@@ -242,16 +268,8 @@ def cli_run(args):
     error_stack = []
     times = None
     for i, traj in enumerate(trajectories):
-        if not all(np.isfinite(a).all() for st in traj for a in
-                   (st.X.rot, st.X.cols, st.theta.as_vector(), st.P)):
-            print(f"error: run {i} produced a non-finite state", file=sys.stderr)
-            return 2
-        # one state at a time: a stacked (n, 18, 18) copy of a run's P
-        # raises the peak memory of `run` by 4 MB on Case A
-        if any(lam[0] < -PSD_TOL * lam[-1]
-               for lam in map(np.linalg.eigvalsh, (st.P for st in traj))):
-            print(f"error: run {i} produced a covariance that is not positive "
-                  "semidefinite", file=sys.stderr)
+        if fault := _run_fault(traj):
+            print(f"error: run {i} produced {fault}", file=sys.stderr)
             return 2
         save_trajectory(traj, outdir / f"run_{i:02d}.jsonl")
         times, errs = trajectory_errors(dataset, traj)

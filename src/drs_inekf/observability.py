@@ -32,36 +32,27 @@ def measurement_rows(R_drs, include_orientation=True):
 
 def observability_matrix(R_drs, dt, n_blocks, include_orientation=True):
     """Observation rows against powers of the filter's bias-free transition
-    matrix at zero contact velocity."""
+    matrix at zero contact velocity, for R_drs or for each of a stack."""
     if n_blocks < 2:
         raise ValueError("n_blocks must be >= 2")
-    H = measurement_rows(R_drs, include_orientation)
+    H = np.array([measurement_rows(R, include_orientation)
+                  for R in np.reshape(R_drs, (-1, 3, 3))])
     Phi = transition_matrix(error_jacobian_nobias(np.zeros(3)), dt)
     blocks = []
     Pk = np.eye(12)
     for _ in range(n_blocks):
         blocks.append(H @ Pk)
         Pk = Pk @ Phi
-    return np.vstack(blocks)
+    return np.concatenate(blocks, axis=1).reshape(np.shape(R_drs)[:-2] + (-1, 12))
+
+
+def _ranks(s, rtol=RANK_RTOL):
+    """Numerical ranks from singular values, largest first, on the last axis."""
+    return np.sum(s > rtol * s[..., :1], axis=-1)
 
 
 def numerical_rank(M, rtol=RANK_RTOL):
-    return _rank_and_null_space(M, rtol)[0]
-
-
-def _rank_and_null_space(M, rtol=RANK_RTOL):
-    """Numerical rank and an orthonormal null-space basis (as columns) from
-    one full SVD: the right singular vectors past the rank."""
-    _, s, Vt = np.linalg.svd(M)
-    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0.0 else 0
-    return rank, Vt[rank:].T
-
-
-def _direction_observable(null_basis, direction, tol=1e-6):
-    if null_basis.shape[1] == 0:
-        return True
-    d = direction / np.linalg.norm(direction)
-    return float(np.linalg.norm(null_basis.T @ d)) < tol
+    return int(_ranks(np.linalg.svd(M, compute_uv=False), rtol))
 
 
 @dataclass(frozen=True)
@@ -80,29 +71,32 @@ class ObservabilityReport:
         return asdict(self)
 
 
+# the error coordinates of each flag; yaw is the gravity-axis rotation error
+_FLAGS = (slice(0, 2), slice(2, 3), slice(3, 6), slice(6, 9), slice(9, 12))
+_SWEEP_CHUNK = 64       # orientations per stacked SVD, whose U is (k, m, m)
+
+
+def _reports(R_drs, dt, n_blocks, include_orientation=True):
+    """Reports for a stack of surface orientations: a coordinate is observable
+    when its column of the null space, Vt past the rank, has a norm < 1e-6."""
+    _, s, Vt = np.linalg.svd(observability_matrix(R_drs, dt, n_blocks,
+                                                  include_orientation))
+    ranks = _ranks(s)
+    null_rows = np.arange(Vt.shape[-2]) >= ranks[:, None]
+    observable = np.linalg.norm(Vt * null_rows[..., None], axis=1) < 1e-6
+    return [ObservabilityReport(
+        int(rank), *(bool(obs[c].all()) for c in _FLAGS), dt, n_blocks,
+        float(np.arccos(np.clip(np.dot(R @ E3, E3), -1.0, 1.0))))
+        for R, rank, obs in zip(R_drs, ranks, observable)]
+
+
 def observability_report(R_drs, dt=1e-2, n_blocks=3, include_orientation=True):
-    O = observability_matrix(R_drs, dt, n_blocks,
-                             include_orientation=include_orientation)
-    rank, ns = _rank_and_null_space(O)
-
-    def block_dir(block, axis):
-        d = np.zeros(12)
-        d[3 * block + axis] = 1.0
-        return d
-
-    # yaw is the gravity-axis component of the rotation error
-    roll_pitch = all(_direction_observable(ns, block_dir(0, a)) for a in (0, 1))
-    yaw = _direction_observable(ns, block_dir(0, 2))
-    vel = all(_direction_observable(ns, block_dir(1, a)) for a in range(3))
-    pos = all(_direction_observable(ns, block_dir(2, a)) for a in range(3))
-    contact = all(_direction_observable(ns, block_dir(3, a)) for a in range(3))
-    tilt = float(np.arccos(np.clip(np.dot(R_drs @ E3, E3), -1.0, 1.0)))
-    return ObservabilityReport(rank, roll_pitch, yaw, vel, pos, contact,
-                               dt, n_blocks, tilt)
+    return _reports(np.array([R_drs]), dt, n_blocks, include_orientation)[0]
 
 
 def tilt_sweep(tilts_rad, dt=1e-2, n_blocks=3):
     """Observability reports for surface pitch angles about the y-axis."""
-    return [observability_report(so3_exp(np.array([0.0, float(tilt), 0.0])),
-                                 dt, n_blocks)
-            for tilt in tilts_rad]
+    R = np.array([so3_exp(np.array([0.0, float(tilt), 0.0]))
+                  for tilt in tilts_rad]).reshape(-1, 3, 3)
+    return [report for i in range(0, len(R), _SWEEP_CHUNK)
+            for report in _reports(R[i:i + _SWEEP_CHUNK], dt, n_blocks)]

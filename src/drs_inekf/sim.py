@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -61,10 +62,15 @@ class ScenarioConfig:
     draw_biases: bool = False                    # constant biases drawn from walk SDs
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
-        if self.imu_rate <= 0.0 or self.meas_rate <= 0.0:
-            raise ValueError("rates must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("duration", "imu_rate", "meas_rate", "step_period"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.meas_rate > self.imu_rate:
             raise ValueError("measurement rate must not exceed the IMU rate")
         if self.orient_rate is not None and not (0.0 <= self.orient_rate <= self.meas_rate):
@@ -371,7 +377,18 @@ def write_jsonl(dataset, fh):
 
 # the JSON values a numeric field may hold; null reads as NaN and is
 # rejected as non-finite, and a bool (an int subclass) is not a number here
-_JSON_NUMBER = (int, float, type(None))
+_JSON_NUMBER = {int, float, type(None)}
+
+
+def read_jsonl(path):
+    """The JSON value of each line, parsed as one array: a blank or broken
+    line breaks it, and a line of two values makes the count differ."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    values = json.loads("[" + ",".join(lines) + "]")
+    if len(values) != len(lines):
+        raise ValueError(f"{path}: a line does not hold one JSON value")
+    return values
 
 
 def read_column(records, kind, key, shape=()):
@@ -386,13 +403,10 @@ def read_column(records, kind, key, shape=()):
         values = [r[key] for r in records]
     except KeyError:
         raise ValueError(f"{kind} record has no '{key}'") from None
-    if shape:
-        numbers = all(type(v) is list and all(type(e) in _JSON_NUMBER for e in v)
-                      for v in values)
-    else:
-        numbers = all(type(v) in _JSON_NUMBER for v in values)
+    lists = not shape or set(map(type, values)) <= {list}
+    numbers = chain.from_iterable(values) if shape else values
     malformed = ValueError(f"{kind} record has a malformed '{key}'")
-    if not numbers:
+    if not (lists and set(map(type, numbers)) <= _JSON_NUMBER):
         raise malformed
     try:
         values = np.array(values, dtype=float).reshape((len(records),) + shape)
@@ -407,13 +421,11 @@ def load_jsonl(path):
     """Reconstruct a ScenarioDataset from a JSON Lines file."""
     records = {kind: [] for kind in ("meta", "truth", "imu", "contact_vel",
                                      "encoder", "drs_pose", "contact_switch")}
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            kind = rec.pop("type", None) if isinstance(rec, dict) else None
-            if not isinstance(kind, str) or kind not in records:
-                raise ValueError(f"unknown record type: {kind}")
-            records[kind].append(rec)
+    for rec in read_jsonl(path):
+        kind = rec.pop("type", None) if isinstance(rec, dict) else None
+        if not isinstance(kind, str) or kind not in records:
+            raise ValueError(f"unknown record type: {kind}")
+        records[kind].append(rec)
     if not records["meta"]:
         raise ValueError("dataset has no meta record")
 

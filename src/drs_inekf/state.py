@@ -65,8 +65,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0.0:
-                raise ValueError(f"{f.name} must be nonnegative")
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and nonnegative")
 
 
 # config key -> NoiseConfig field; the "_deg" keys are given in degrees

@@ -26,7 +26,7 @@ from drs_inekf.harness import (DEFAULT_THRESHOLDS, ERROR_VARS,
                                parse_scenario_config, save_trajectory,
                                trajectory_errors)
 from drs_inekf.kinematics import VirtualLeg
-from drs_inekf.liegroup import GroupElement, so3_exp
+from drs_inekf.liegroup import GroupElement, rot_to_quat, so3_exp
 from drs_inekf.sim import (ScenarioConfig, generate, load_jsonl, save_jsonl,
                            write_jsonl)
 from drs_inekf.state import (BiasState, FilterState, NoiseConfig,
@@ -529,3 +529,168 @@ def test_cli_rejects_quaternion_without_finite_norm(tmp_path, capsys, command):
 
 def test_thresholds_cover_all_error_vars():
     assert set(DEFAULT_THRESHOLDS) == set(ERROR_VARS)
+
+
+@pytest.mark.parametrize("setting", [
+    "duration = nan", "imu_rate = nan", "meas_rate = nan", "duration = inf",
+    "seed = -1", "step_period = 0", "step_period = -0.8", "base_height = nan",
+    "sd_gyro = nan"])
+def test_cli_simulate_rejects_bad_numbers_before_generating(
+        tmp_path, capsys, monkeypatch, setting):
+    # each used to end in a traceback, hang in generate (the two step
+    # periods) or write a dataset holding NaN (base_height, sd_gyro)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"profile = TM2\nduration = 1.0\nmeas_rate = 10\n{setting}\n")
+    calls = []
+    monkeypatch.setattr(harness, "generate", lambda config: calls.append(1))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not calls
+
+
+def test_cli_simulate_maps_generate_value_error_to_exit_1(tmp_path, capsys,
+                                                          monkeypatch):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("profile = TM2\nduration = 1.0\n")
+
+    def fail(config):
+        raise ValueError("no dataset")
+
+    monkeypatch.setattr(harness, "generate", fail)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert capsys.readouterr().err == "error: no dataset\n"
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("edit", ["comma", "space", "blank", "trailing-blank"])
+def test_cli_rejects_lines_that_do_not_hold_one_record(tmp_path, capsys,
+                                                       command, edit):
+    # the reader parses all lines at once: two records on one line, a blank
+    # line in the middle and a trailing blank line stay errors
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=1.0, meas_rate=10.0, seed=2))
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    est = tmp_path / "est.jsonl"
+    est.write_text("".join(json.dumps({"t": t, "quat": [1, 0, 0, 0],
+                                       "v": [0, 0, 0]}) + "\n"
+                           for t in (0.2, 0.4, 0.6, 0.8)))
+    assert main(["eval", "--truth", str(data), "--estimate", str(est)]) == 0
+    target = data if command == "run" else est
+    lines = target.read_text().splitlines(keepends=True)
+    if edit == "comma":
+        lines[2:4] = [lines[2].rstrip("\n") + ", " + lines[3]]
+    elif edit == "space":
+        lines[2:4] = [lines[2].rstrip("\n") + " " + lines[3]]
+    elif edit == "blank":
+        lines.insert(2, "\n")
+    else:
+        lines.append("\n")
+    target.write_text("".join(lines))
+    capsys.readouterr()
+    if command == "run":
+        argv = ["run", "--dataset", str(data), "--out", str(tmp_path / "runs")]
+    else:
+        argv = ["eval", "--truth", str(data), "--estimate", str(est)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _reference_save_trajectory(trajectory, path):
+    """The per-state writer that save_trajectory replaced."""
+    quats = rot_to_quat(np.array([st.X.rot for st in trajectory]).reshape(-1, 3, 3))
+    with open(path, "w") as fh:
+        for st, quat in zip(trajectory, quats.tolist()):
+            fh.write(json.dumps({
+                "t": st.t, "quat": quat,
+                "v": list(st.X.v), "p": list(st.X.p), "p_c": list(st.X.pc),
+                "b_omega": list(st.theta.b_omega), "b_acc": list(st.theta.b_acc),
+                "p_diag": list(np.diag(st.P)),
+            }) + "\n")
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1e-5,
+                   0.1, 1.0 / 3.0, 123456789.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 3 * harness._CHUNK),
+       specials=st.lists(st.sampled_from(_SPECIAL_FLOATS), max_size=40))
+def test_save_trajectory_writes_the_reference_bytes(tmp_path_factory, seed,
+                                                    n_states, specials):
+    # stacked tolist() against list(ndarray) per state: json writes float
+    # repr either way; -0.0, subnormals and huge values included
+    rng = np.random.default_rng(seed)
+    flat = rng.standard_normal(n_states * 34) * 10.0 ** rng.integers(-8, 8, n_states * 34)
+    flat[rng.integers(0, flat.size, len(specials))] = specials
+    states = []
+    for k, row in enumerate(flat.reshape(n_states, 34)):
+        P = np.diag(row[16:34]) + rng.standard_normal((18, 18))
+        t = row[0] if k % 3 else k * 0.005      # numpy and Python floats
+        states.append(FilterState(
+            GroupElement(so3_exp(rng.uniform(-3.0, 3.0, 3)), row[1:10].reshape(3, 3)),
+            BiasState(row[10:13], row[13:16]), P, t))
+    tmp = tmp_path_factory.mktemp("traj")
+    save_trajectory(states, tmp / "new.jsonl")
+    _reference_save_trajectory(states, tmp / "ref.jsonl")
+    assert (tmp / "new.jsonl").read_bytes() == (tmp / "ref.jsonl").read_bytes()
+
+
+def _eigvalsh_rule(P):
+    """The per-state PSD rule that the stacked Cholesky check replaced."""
+    return not any(lam[0] < -harness.PSD_TOL * lam[-1]
+                   for lam in map(np.linalg.eigvalsh, P))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ratios=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                                 st.floats(-12.0, -6.0)),
+                       min_size=1, max_size=8))
+def test_stacked_psd_check_equals_per_state_eigvalsh_rule(seed, ratios):
+    # lambda_min / lambda_max in +-[1e-12, 1e-6], on both sides of -PSD_TOL
+    rng = np.random.default_rng(seed)
+    stack = []
+    for sign, exponent in ratios:
+        Q = np.linalg.qr(rng.standard_normal((18, 18)))[0]
+        lam = rng.uniform(10.0 ** exponent, 1.0, 18)
+        lam[0], lam[-1] = sign * 10.0 ** exponent, 1.0
+        P = (Q * lam) @ Q.T * 10.0 ** rng.uniform(-4.0, 4.0)
+        stack.append(0.5 * (P + P.T))
+    good = FilterState(GroupElement.identity(), BiasState(), run_covariance(), 0.0)
+    states = [FilterState(good.X, good.theta, P, 0.0) for P in stack]
+    assert (harness._run_fault(states) is None) == _eigvalsh_rule(stack)
+
+
+@pytest.mark.parametrize("bad_at, non_finite_at, message", [
+    (harness._CHUNK + 30, None,
+     "a covariance that is not positive semidefinite"),
+    (10, 2 * harness._CHUNK + 5, "a non-finite state")],
+    ids=["indefinite-mid-chunk", "non-finite-after-indefinite"])
+def test_cli_run_checks_every_state_of_every_chunk(tmp_path, capsys, monkeypatch,
+                                                   bad_at, non_finite_at, message):
+    # run 0 is saved; run 1 fails with the message of its first fault kind,
+    # a non-finite state before an indefinite covariance, in any chunk
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=2.0, meas_rate=10.0, seed=2))
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    good = initial_state_for_run(ds, np.random.default_rng(0))
+    states = [FilterState(good.X, good.theta, good.P, k * ds.dt)
+              for k in range(3 * harness._CHUNK)]
+    failing = list(states)
+    indefinite = good.P.copy()
+    indefinite[5, 5] = -1e-3
+    failing[bad_at] = FilterState(good.X, good.theta, indefinite, 0.1)
+    if non_finite_at is not None:
+        failing[non_finite_at] = FilterState(good.X, BiasState(np.full(3, np.nan)),
+                                             good.P, 0.2)
+    monkeypatch.setattr(harness, "monte_carlo", lambda *args: [states, failing])
+    out = tmp_path / "runs"
+    assert main(["run", "--dataset", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: run 1 produced {message}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["run_00.jsonl"]
+    _reference_save_trajectory(states, tmp_path / "ref.jsonl")
+    assert (out / "run_00.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()

@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg
 
 from drs_inekf.liegroup import so3_exp
-from drs_inekf.observability import (error_jacobian_nobias, measurement_rows,
-                                     numerical_rank, observability_matrix,
-                                     observability_report, tilt_sweep,
-                                     transition_matrix)
+from drs_inekf.filter import E3
+from drs_inekf.observability import (ObservabilityReport, error_jacobian_nobias,
+                                     measurement_rows, numerical_rank,
+                                     observability_matrix, observability_report,
+                                     tilt_sweep, transition_matrix)
 
 
 def test_bias_free_jacobian_is_nilpotent():
@@ -73,10 +74,9 @@ def test_yaw_needs_orientation_observation():
 def test_position_difference_is_observable():
     # the direction p and pc moving together lies in the null space; the
     # direction moving oppositely does not
-    from drs_inekf.observability import _rank_and_null_space
     R = so3_exp(np.array([0.0, np.radians(5.0), 0.0]))
     O = observability_matrix(R, 1e-2, 3)
-    ns = _rank_and_null_space(O)[1]
+    ns = np.linalg.svd(O)[2][numerical_rank(O):].T
     together = np.zeros(12)
     together[6] = together[9] = 1.0
     together /= np.linalg.norm(together)
@@ -112,3 +112,40 @@ def test_rank_stable_across_dt_and_block_count():
         for n_blocks in (3, 4, 5):
             O = observability_matrix(R, dt, n_blocks)
             assert numerical_rank(O) == 9
+
+
+def _reference_report(R_drs, dt, n_blocks):
+    """The per-tilt report that the stacked sweep replaced: one full SVD of
+    one observability matrix, each flag from the projection of a unit
+    direction onto the null space."""
+    H = measurement_rows(R_drs)
+    Phi = transition_matrix(error_jacobian_nobias(np.zeros(3)), dt)
+    blocks, Pk = [], np.eye(12)
+    for _ in range(n_blocks):
+        blocks.append(H @ Pk)
+        Pk = Pk @ Phi
+    O = np.vstack(blocks)
+    _, s, Vt = np.linalg.svd(O)
+    rank = int(np.sum(s > 1e-8 * s[0])) if s[0] > 0.0 else 0
+    ns = Vt[rank:].T
+
+    def observable(block, axes):
+        return all(float(np.linalg.norm(ns[3 * block + a])) < 1e-6 for a in axes)
+
+    tilt = float(np.arccos(np.clip(np.dot(R_drs @ E3, E3), -1.0, 1.0)))
+    return ObservabilityReport(rank, observable(0, (0, 1)), observable(0, (2,)),
+                               observable(1, range(3)), observable(2, range(3)),
+                               observable(3, range(3)), dt, n_blocks, tilt)
+
+
+@pytest.mark.parametrize("max_deg, step_deg, dt, n_blocks", [
+    (10.0, 0.01, 1e-2, 3), (30.0, 0.37, 5e-2, 4)])
+def test_tilt_sweep_equals_per_tilt_reference(max_deg, step_deg, dt, n_blocks):
+    # the obs CLI's sweep: tilt 0 (rank 8) first, stacks of tilts across
+    # chunk boundaries; every field equal, tilt_rad bit for bit
+    tilts = np.radians(np.arange(0.0, max_deg + 1e-9, step_deg))
+    reports = tilt_sweep(tilts, dt=dt, n_blocks=n_blocks)
+    assert len(reports) == tilts.size > 64
+    assert reports[0].rank == 8
+    assert reports == [_reference_report(so3_exp(np.array([0.0, t, 0.0])),
+                                         dt, n_blocks) for t in tilts]

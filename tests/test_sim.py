@@ -1,6 +1,7 @@
 """Scenario generator: determinism, exactness, schedules, serialization."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,16 @@ def test_config_validation():
         small_config(orient_rate=20.0)  # above the measurement rate
     with pytest.raises(ValueError):
         small_config(robot_motion="RM7")
+    # non-finite numbers, a step period that is not positive and a negative
+    # seed; the step periods used to hang the switch placement of generate
+    for kw in ({"duration": math.nan}, {"duration": math.inf},
+               {"imu_rate": math.nan}, {"meas_rate": math.nan},
+               {"orient_rate": math.inf}, {"base_height": math.nan},
+               {"stride_width": -math.inf}, {"contact_offset": (0.3, math.nan, 0.0)},
+               {"step_period": 0.0}, {"step_period": -0.8},
+               {"step_period": math.nan}, {"seed": -1}):
+        with pytest.raises(ValueError):
+            small_config(**kw)
 
 
 def test_generation_is_deterministic():

@@ -41,6 +41,9 @@ def test_noise_config_defaults_and_validation():
         NoiseConfig(sd_gyro=-1e-3)
     with pytest.raises(ValueError):
         NoiseConfig(sd_drs_orient=-0.1)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sd_gyro must be finite"):
+            NoiseConfig(sd_gyro=value)
 
 
 def test_load_noise_config(tmp_path):

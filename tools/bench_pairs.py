@@ -13,11 +13,16 @@ and is stopped after ``RUN_TIMEOUT_S`` seconds.
 
 For every metric that all runs of both sides report, the summary gives each
 side's median, quartiles and range, the pairs the change wins (ties count
-for neither side) and the parent's interquartile range.  With ``--claim``,
+for neither side), the parent's interquartile range and the median,
+quartiles and range of the per-pair ratio change/parent.  A ratio is taken
+within one pair, so it is less exposed to the host's speed drifting between
+pairs than the two sides' medians are.  With ``--claim``,
 the claim holds when the change wins at least nine tenths of the pairs, the
 medians differ in the better direction by more than the parent's
 interquartile range and, with ``--min-gain``, the median improves by at least
-that fraction.  The directions come from the parent's BENCHMARK.json.
+that fraction.  The claim result also reports the per-pair ratios beside the
+rule, which does not use them.  The directions come from the parent's
+BENCHMARK.json.
 
 The results go into one section of the output JSON file; other sections
 already in the file are kept, so one file can hold several runs of the tool.
@@ -102,6 +107,7 @@ def summarise(pairs, directions):
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
         ties = sum(x == y for x, y in zip(a, b))
         pa, pb = side_stats(a), side_stats(b)
+        ratios = [y / x for x, y in zip(a, b) if x]
         summary[name] = {
             "better": "lower" if lower else "higher",
             "parent": pa, "change": pb, "pairs": len(pairs),
@@ -109,6 +115,7 @@ def summarise(pairs, directions):
             "median_change_frac": ((pb["median"] - pa["median"]) / pa["median"]
                                    if pa["median"] else None),
             "parent_iqr": pa["q3"] - pa["q1"],
+            "pair_ratio": side_stats(ratios) if ratios else None,
         }
     return summary
 
@@ -132,7 +139,8 @@ def claim_result(summary, metric, min_gain):
             "change_better_pairs": f"{row['change_better']}/{row['pairs']}",
             "median_gap": gap, "parent_iqr": row["parent_iqr"],
             "median_gain_frac": gain, "min_gain": min_gain,
-            "met": bool(wins_ok and gap_ok and gain_ok)}
+            "met": bool(wins_ok and gap_ok and gain_ok),
+            "pair_ratio": row["pair_ratio"]}
 
 
 def host():
