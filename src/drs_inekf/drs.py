@@ -14,6 +14,7 @@ Angles and poses are evaluated for a scalar time or a whole time array.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +72,20 @@ class PitchProfile:
 
 
 def profile_from_csv(path):
-    """Two-column CSV (t_seconds, theta_degrees), linearly interpolated."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Two-column CSV (t_seconds, theta_degrees), linearly interpolated; the
+    table needs two rows or more, finite values and strictly increasing
+    times."""
+    with warnings.catch_warnings():     # an empty file is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    if rows.shape[0] < 2:
+        raise ValueError(f"{path}: a profile table needs at least two rows")
+    if rows.shape[1] != 2:
+        raise ValueError(f"{path}: a profile table has two columns, t and angle")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{path}: the profile table holds a non-finite value")
+    if np.any(np.diff(rows[:, 0]) <= 0.0):
+        raise ValueError(f"{path}: profile times must be strictly increasing")
     return PitchProfile(kind="custom", table_t=tuple(rows[:, 0]), table_deg=tuple(rows[:, 1]))
 
 

@@ -17,10 +17,11 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .liegroup import GroupElement, compose, sek3_exp, skew
+from .liegroup import GroupElement, compose, sek3_exp, skew, skew_entries
 from .state import BiasState, FilterState, symmetrize
 from . import liegroup
 
@@ -61,8 +62,80 @@ class ProcessInput:
         if not (0.0 < self.dt <= MAX_DT):
             raise ValueError(f"dt must be in (0, {MAX_DT}], got {self.dt}")
         vals = np.concatenate([self.imu.omega_tilde, self.imu.a_tilde, self.v_c_tilde])
-        if not np.isfinite(vals).all():
+        if not all(map(math.isfinite, vals.tolist())):
             raise ValueError("non-finite process input")
+
+
+class StepTerms(NamedTuple):
+    """The input-only terms of one propagation step, for one noise setting
+    and variant: the validated inputs, with the contact velocity the variant
+    uses (zero for SRS), and what they alone determine."""
+
+    omega_tilde: np.ndarray
+    a_tilde: np.ndarray
+    v_c: np.ndarray
+    dt: float
+    skew_v_c_dt: np.ndarray     # skew(v_c) dt, the contact block of I + A dt
+    flow: np.ndarray            # the 6x3 mean-flow matrix of integrate_mean
+    w_gyro: float               # the gyro density of Q, sd_gyro^2 dt
+    white: np.ndarray           # the diagonal of Q's other white and walk blocks
+
+
+def _flow_entries(dt):
+    """The 18 entries, row-major, of the 6x3 matrix that takes
+    [v p pc | R Gamma_1 a + g, R Gamma_2 a + g/2 | v_c] to the new (v, p, pc)."""
+    return (1.0, dt, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0,
+            dt, 0.0, 0.0, 0.0, dt * dt, 0.0, 0.0, 0.0, dt)
+
+
+def _white_entries(noise, dt):
+    """Per 3-block of the error, the diagonal Q adds to w_g G G^T: the accel
+    and contact-velocity white noises and the two bias walks."""
+    return (0.0, noise.sd_accel**2 * dt, 0.0, noise.sd_contact_vel**2 * dt,
+            noise.sd_bias_gyro**2, noise.sd_bias_accel**2)
+
+
+def step_terms(inp, noise, variant=FilterVariant.DRS):
+    """The StepTerms of one ProcessInput, validated, in scalar code."""
+    inp.validate()
+    dt = float(inp.dt)
+    v_c = _ZERO3 if variant is FilterVariant.SRS else inp.v_c_tilde
+    x, y, z = [c * dt for c in v_c.tolist()]    # skew(v_c) dt = skew(v_c dt)
+    return StepTerms(inp.imu.omega_tilde, inp.imu.a_tilde, v_c, dt,
+                     np.array(skew_entries(x, y, z)).reshape(3, 3),
+                     np.array(_flow_entries(dt)).reshape(6, 3),
+                     noise.sd_gyro**2 * dt,
+                     np.array(_white_entries(noise, dt)).repeat(3))
+
+
+def _stack(entries, shape):
+    """The (n,) + shape stack whose row-major entries are (n,) arrays or
+    floats (the same in every matrix)."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1).reshape((-1,) + shape)
+
+
+def _stacked_step_terms(dataset, noise, variant):
+    """The StepTerms of every IMU step of a dataset, formed at once with the
+    operations of ``step_terms`` on arrays, and yielded step by step.
+
+    The inputs are checked first, with step_terms' rules: the first step
+    that breaks one raises its ValueError.
+    """
+    dts = np.append(np.diff(dataset.imu_t), dataset.dt)
+    omega, acc, v_c = dataset.imu_omega, dataset.imu_acc, dataset.contact_v
+    good = (0.0 < dts) & (dts <= MAX_DT) & np.isfinite(
+        np.concatenate((omega, acc, v_c), axis=1)).all(axis=1)
+    if not good.all():
+        k = int(good.argmin())
+        ProcessInput(ImuSample(omega[k], acc[k], dataset.imu_t[k]), v_c[k],
+                     dts[k]).validate()
+    if variant is FilterVariant.SRS:
+        v_c = np.zeros_like(v_c)
+    x, y, z = (v_c * dts[:, None]).T
+    terms = (omega, acc, v_c, dts.tolist(), _stack(skew_entries(x, y, z), (3, 3)),
+             _stack(_flow_entries(dts), (6, 3)), (noise.sd_gyro**2 * dts).tolist(),
+             _stack(_white_entries(noise, dts), (6,)).repeat(3, axis=1))
+    return map(StepTerms._make, zip(*terms))
 
 
 @dataclass(frozen=True)
@@ -76,9 +149,11 @@ class Observation:
     N: np.ndarray
 
 
-def integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt):
+def integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt, *, flow=None):
     """Exact flow of the deterministic process over dt with constant inputs
-    (the Gamma-function discretization of Hartley et al., IJRR 2020)."""
+    (the Gamma-function discretization of Hartley et al., IJRR 2020).
+    ``flow`` is the step's mean-flow matrix (StepTerms.flow) when the caller
+    has formed it already."""
     phi = (omega_tilde - theta.b_omega) * dt
     acc = a_tilde - theta.b_acc
     series = liegroup.so3_series(phi)
@@ -86,10 +161,10 @@ def integrate_mean(X, theta, omega_tilde, a_tilde, v_c, dt):
     RM = X.rot.dot(np.concatenate((series[0], series[1:].dot(acc).T), axis=1))
     # [v p pc | R Gamma_1 a + g, R Gamma_2 a + g/2 | v_c] times one matrix gives
     # (v + (R Gamma_1 a + g) dt, p + v dt + (R Gamma_2 a + g/2) dt^2, pc + v_c dt)
+    if flow is None:
+        flow = np.array(_flow_entries(dt)).reshape(6, 3)
     cols = np.concatenate((X.cols, RM[:, 3:] + _GRAVITY_12, v_c[:, None]),
-                          axis=1).dot(np.array(
-        [1.0, dt, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0,
-         dt, 0.0, 0.0, 0.0, dt * dt, 0.0, 0.0, 0.0, dt]).reshape(6, 3))
+                          axis=1).dot(flow)
     return GroupElement(RM[:, :3], cols)
 
 
@@ -120,10 +195,11 @@ def error_jacobian_nobias(v_c):
 _ERROR_JACOBIAN_FIXED = _fill_error_jacobian_nobias(np.zeros((18, 18)), _ZERO3)
 
 
-def _fill_error_jacobian(A, Ad, v_c, dt):
-    """Write dt times the state-dependent blocks of the error Jacobian into A,
-    which holds dt times the fixed part (plus I for I + A dt)."""
-    np.multiply(skew(v_c), dt, out=A[9:12, 0:3])
+def _fill_error_jacobian(A, Ad, skew_v_c_dt, dt):
+    """Write dt times the input- and state-dependent blocks of the error
+    Jacobian into A, which holds dt times the fixed part (plus I for
+    I + A dt); the contact block comes formed, as skew(v_c) dt."""
+    A[9:12, 0:3] = skew_v_c_dt
     # the biases act through the gyro and accel inputs, seen as -Ad_X
     np.multiply(Ad[:, :6], -dt, out=A[:12, 12:18])
     return A
@@ -131,7 +207,8 @@ def _fill_error_jacobian(A, Ad, v_c, dt):
 
 def error_jacobian(Ad, v_c_tilde):
     """18x18 Jacobian of the linearized invariant-error dynamics at adjoint Ad."""
-    return _fill_error_jacobian(_ERROR_JACOBIAN_FIXED.copy(), Ad, v_c_tilde, 1.0)
+    return _fill_error_jacobian(_ERROR_JACOBIAN_FIXED.copy(), Ad, skew(v_c_tilde),
+                                1.0)
 
 
 def process_noise_covariance(Ad, noise, dt):
@@ -144,30 +221,37 @@ def process_noise_covariance(Ad, noise, dt):
     block gives w G G^T with G = Ad[:, :3], and the accel and contact-velocity
     blocks, whose adjoint columns hold R alone, give w R R^T = w I.
     """
+    return _noise_covariance(Ad, noise.sd_gyro**2 * dt,
+                             np.array(_white_entries(noise, dt)).repeat(3))
+
+
+def _noise_covariance(Ad, w_gyro, white):
     G = Ad[:, :3]
     Q = np.zeros((18, 18))
-    Q[:12, :12] = (G * (noise.sd_gyro**2 * dt)).dot(G.T)
-    w = np.array((0.0, noise.sd_accel**2 * dt, 0.0, noise.sd_contact_vel**2 * dt,
-                  noise.sd_bias_gyro**2, noise.sd_bias_accel**2))
-    Q.ravel()[::19] += w.repeat(3)      # the diagonal of Q, as a view
+    Q[:12, :12] = (G * w_gyro).dot(G.T)
+    Q.ravel()[::19] += white            # the diagonal of Q, as a view
     return Q
 
 
 def propagate(state, inp, noise, variant=FilterVariant.DRS):
     """One continuous-phase propagation step (exact mean flow, first-order
-    covariance transition)."""
-    inp.validate()
-    dt = float(inp.dt)
-    v_c = _ZERO3 if variant is FilterVariant.SRS else inp.v_c_tilde
+    covariance transition).
+
+    ``inp`` is a ProcessInput, or StepTerms already formed for this noise
+    and variant (``run_variant`` forms those of a whole dataset at once).
+    """
+    if not isinstance(inp, StepTerms):
+        inp = step_terms(inp, noise, variant)
+    omega, acc, v_c, dt, skew_v_c_dt, flow, w_gyro, white = inp
     Ad = liegroup.adjoint(state.X)
     # first-order transition Phi P Phi^T + Q dt rather than the raw Euler
     # Riccati step: the quadratic term it retains keeps P positive
     # semidefinite when updates have collapsed some directions
-    Phi = _fill_error_jacobian(_EYE18 + _ERROR_JACOBIAN_FIXED * dt, Ad, v_c, dt)
-    X_new = integrate_mean(state.X, state.theta, inp.imu.omega_tilde,
-                           inp.imu.a_tilde, v_c, dt)
-    P = Phi.dot(state.P).dot(Phi.T) + process_noise_covariance(Ad, noise, dt) * dt
-    return FilterState(X_new, state.theta, symmetrize(P), state.t + inp.dt)
+    Phi = _fill_error_jacobian(_EYE18 + _ERROR_JACOBIAN_FIXED * dt, Ad,
+                               skew_v_c_dt, dt)
+    X_new = integrate_mean(state.X, state.theta, omega, acc, v_c, dt, flow=flow)
+    P = Phi.dot(state.P).dot(Phi.T) + _noise_covariance(Ad, w_gyro, white) * dt
+    return FilterState(X_new, state.theta, symmetrize(P), state.t + dt)
 
 
 def orientation_observation(q_tilde, R_drs_tilde, model, noise, R_est):
@@ -314,15 +398,12 @@ def run_variant(state, dataset, variant, model, noise):
     must pass ``ScenarioDataset.validate``.
     """
     dataset.validate()
-    t_imu = dataset.imu_t
-    dts = np.append(np.diff(t_imu), dataset.dt)
+    steps = _stacked_step_terms(dataset, noise, variant)
     schedule = _event_schedule(dataset)
 
     trajectory = []
-    for k, (js, jm, jo) in enumerate(schedule.tolist()):
-        imu = ImuSample(dataset.imu_omega[k], dataset.imu_acc[k], t_imu[k])
-        inp = ProcessInput(imu, dataset.contact_v[k], dts[k])
-        state = propagate(state, inp, noise, variant)
+    for (js, jm, jo), terms in zip(schedule.tolist(), steps):
+        state = propagate(state, terms, noise, variant)
         if js >= 0:
             state = jump_propagate(state, dataset.switch_q[js], model, noise)
         if jm >= 0:

@@ -237,9 +237,11 @@ def parse_scenario_config(path):
 def cli_simulate(args):
     try:
         config = parse_scenario_config(args.config)
-        # open --out first: a path that cannot be written fails before generating
-        with open(args.out, "w") as fh:
+        # open --out first, so that a path that cannot be written fails before
+        # generating, but to append: a failed run leaves an existing file whole
+        with open(args.out, "a") as fh:
             dataset = generate(config)
+            fh.truncate(0)
             write_jsonl(dataset, fh)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

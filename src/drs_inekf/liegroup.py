@@ -18,10 +18,16 @@ _SERIES_ANGLE_SQ = 1e-2
 _BLOCK_EYE4 = np.eye(4)[:, None, :, None]
 
 
+def skew_entries(x, y, z):
+    """The 9 entries, row-major, of skew((x, y, z)); the components are floats,
+    or equal-length arrays for a stack of matrices."""
+    return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
+
+
 def skew(v):
     """Cross-product matrix: skew(v) @ w == cross(v, w)."""
     x, y, z = np.asarray(v, dtype=float).tolist()
-    return np.array((0.0, -z, y, z, 0.0, -x, -y, x, 0.0)).reshape(3, 3)
+    return np.array(skew_entries(x, y, z)).reshape(3, 3)
 
 
 # row k is skew(e_k) flattened, so v @ _SKEW_BASIS is skew(v) flattened

@@ -216,34 +216,50 @@ def generate(config):
     """Produce a ScenarioDataset for the given configuration.
 
     The surface, the base reference, the footholds, the truth and the
-    noise are evaluated on the whole time grid.
+    noise are evaluated on the whole time grid.  A config that leaves no IMU
+    step, no measurement step, or no free step for a contact switch raises
+    ValueError before anything is evaluated.
     """
     rng = np.random.default_rng(config.seed)
     noise = config.noise
     leg = VirtualLeg()
     dt = 1.0 / config.imu_rate
     n = int(round(config.duration * config.imu_rate))
+    if n == 0:
+        raise ValueError(f"duration {config.duration:g} s rounds to zero IMU steps")
     times = np.arange(n + 1) * dt
 
     # measurement schedule, snapped to the IMU grid
     meas = np.unique(np.round(np.arange(1, int(config.duration * config.meas_rate) + 1)
                               / config.meas_rate / dt).astype(int))
     meas = meas[(meas > 0) & (meas <= n)]
+    if not meas.size:
+        raise ValueError("no measurement step falls within the duration")
     # surface-orientation schedule: nearest measurement step to each nominal time
     orient_rate = config.meas_rate if config.orient_rate is None else config.orient_rate
     orient = set()
-    if orient_rate > 0.0 and meas.size:
+    if orient_rate > 0.0:
         for j in range(1, int(config.duration * orient_rate) + 1):
             target = int(round(j / orient_rate / dt))
             orient.add(int(meas[np.argmin(np.abs(meas - target))]))
     orient = np.array(sorted(orient), dtype=int)
-    # contact switches on the grid, shifted off any measurement step
+    # contact switches on the grid, each shifted past the one before and off
+    # any measurement step, and so still on the grid
     meas_set, switch = set(meas.tolist()), []
     if config.robot_motion == "RM1":
         i = 1
         while (s := int(round(i * config.step_period / dt))) < n:
-            while s in meas_set or s in switch:
+            if s == 0:
+                raise ValueError(f"step_period {config.step_period:g} s rounds "
+                                 "to zero IMU steps")
+            if switch:
+                s = max(s, switch[-1] + 1)
+            while s in meas_set:
                 s += 1
+            if s > n:
+                raise ValueError(f"contact switch {i} (t = {i * config.step_period:.6g}"
+                                 " s) finds no free IMU step: every later step "
+                                 "holds a measurement or another switch")
             switch.append(s)
             i += 1
     switch = np.array(switch, dtype=int)

@@ -563,6 +563,60 @@ def test_cli_simulate_maps_generate_value_error_to_exit_1(tmp_path, capsys,
     assert capsys.readouterr().err == "error: no dataset\n"
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("meas_rate = 200", "contact switch 1 (t = 0.8 s) finds no free IMU step"),
+    ("step_period = 0.001", "step_period 0.001 s rounds to zero IMU steps"),
+    ("step_period = 0.002", "step_period 0.002 s rounds to zero IMU steps"),
+    ("step_period = 0.004", "finds no free IMU step"),
+    ("duration = 0.002", "duration 0.002 s rounds to zero IMU steps"),
+    ("meas_rate = 0.5", "no measurement step falls within the duration")],
+    ids=["every-step-measured", "period-0.001", "period-below-half-step",
+         "period-0.004", "no-imu-step", "no-measurement"])
+def test_cli_simulate_rejects_configs_without_a_schedule(tmp_path, capsys,
+                                                         setting, message):
+    # the switch configs used to end in an IndexError traceback (or, below
+    # half a step, write a switch at t = 0), the others in an invalid dataset;
+    # a failed simulate leaves an existing --out file as it was
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"profile = TM2\nduration = 1.0\nmeas_rate = 10\n{setting}\n")
+    out = tmp_path / "x.jsonl"
+    out.write_text("kept\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert out.read_text() == "kept\n"
+
+
+def test_cli_simulate_replaces_a_longer_file(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    out = tmp_path / "x.jsonl"
+    out.write_text("x" * 10**6)
+    cfg.write_text("profile = TM2\nduration = 0.5\nmeas_rate = 10\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    fresh = io.StringIO()
+    write_jsonl(generate(parse_scenario_config(cfg)), fresh)
+    assert out.read_text() == fresh.getvalue()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("table", [
+    "", "0.0,1.0\n", "0.0\n1.0\n", "0,0,0\n1,1,1\n", "0,0\n1,nan\n",
+    "0,0\ninf,1\n", "0,0\n1,1\n1,2\n", "0,0\n2,1\n1,2\n", "0,0\nx,1\n"],
+    ids=["empty", "one-row", "one-column", "three-columns", "nan", "inf",
+         "repeated-time", "decreasing-time", "not-a-number"])
+def test_cli_simulate_rejects_bad_profile_tables(tmp_path, capsys, table):
+    # one column and one row ended in a traceback; NaN, inf and times out of
+    # order gave a dataset whose surface angle jumps
+    csv_path = tmp_path / "profile.csv"
+    csv_path.write_text(table)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"profile = {csv_path}\nduration = 1.0\nmeas_rate = 10\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["run", "eval"])
 @pytest.mark.parametrize("edit", ["comma", "space", "blank", "trailing-blank"])
 def test_cli_rejects_lines_that_do_not_hold_one_record(tmp_path, capsys,

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drs_inekf.drs import PitchProfile, drs_pose_at
 from drs_inekf.liegroup import so3_exp, so3_log
@@ -317,3 +318,40 @@ def test_load_rejects_unknown_record(tmp_path):
         path.write_text(meta + record + "\n")
         with pytest.raises(ValueError, match="unknown record type"):
             load_jsonl(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(robot_motion=st.sampled_from(["RM1", "RM2"]),
+       imu_rate=st.sampled_from([50.0, 100.0, 200.0, 333.0]),
+       steps=st.floats(0.2, 400.0),
+       meas_frac=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+       period_steps=st.one_of(st.floats(0.05, 3.0), st.floats(3.0, 100.0)),
+       orient=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2**16))
+def test_generate_gives_a_valid_dataset_or_value_error(
+        tmp_path_factory, robot_motion, imu_rate, steps, meas_frac,
+        period_steps, orient, seed):
+    # the write side of the dataset contract: at most about 400 IMU steps,
+    # measurements up to every step, step periods near one IMU step and an
+    # absent or default surface-orientation stream
+    meas_rate = imu_rate * meas_frac
+    try:
+        ds = generate(ScenarioConfig(
+            profile=PitchProfile(kind="TM2"), robot_motion=robot_motion,
+            duration=steps / imu_rate, imu_rate=imu_rate, meas_rate=meas_rate,
+            orient_rate=None if orient is None else orient * meas_rate,
+            step_period=period_steps / imu_rate, seed=seed))
+    except ValueError:
+        return
+    ds.validate()
+    path = tmp_path_factory.mktemp("contract") / "scenario.jsonl"
+    save_jsonl(ds, path)
+    back = load_jsonl(path)
+    for name in ("truth_t", "truth_v", "truth_p", "truth_pc", "imu_t",
+                 "imu_omega", "imu_acc", "contact_v", "meas_t", "enc_q",
+                 "drs_t", "switch_t", "switch_q"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name)), name
+    # rotations travel as quaternions
+    for name in ("truth_rot", "drs_rot"):
+        assert np.abs(getattr(back, name) - getattr(ds, name)).max(
+            initial=0.0) < 1e-12, name
