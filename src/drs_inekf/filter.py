@@ -17,7 +17,6 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +38,6 @@ _ZERO3 = np.zeros(3)
 
 MAX_DT = 0.1
 COND_LIMIT = 1e12
-_TERM_BLOCK = 256       # steps whose input-only terms run_variant stacks at a time
 
 
 class FilterVariant(Enum):
@@ -117,13 +115,11 @@ def _stack(entries, shape):
 
 
 def _stacked_step_terms(dataset, noise, variant):
-    """The StepTerms of every IMU step of a dataset, formed with the
-    operations of ``step_terms`` on arrays of _TERM_BLOCK steps at a time, so
-    that their memory does not grow with the dataset, and yielded step by
-    step.
+    """The StepTerms of every IMU step of a dataset, formed at once with the
+    operations of ``step_terms`` on arrays, and yielded step by step.
 
-    All inputs are checked first, with step_terms' rules: the first step that
-    breaks one raises its ValueError.
+    The inputs are checked first, with step_terms' rules: the first step
+    that breaks one raises its ValueError.
     """
     dts = np.append(np.diff(dataset.imu_t), dataset.dt)
     omega, acc, v_c = dataset.imu_omega, dataset.imu_acc, dataset.contact_v
@@ -135,12 +131,6 @@ def _stacked_step_terms(dataset, noise, variant):
                      dts[k]).validate()
     if variant is FilterVariant.SRS:
         v_c = np.zeros_like(v_c)
-    blocks = (slice(i, i + _TERM_BLOCK) for i in range(0, dts.size, _TERM_BLOCK))
-    return chain.from_iterable(_step_term_block(omega[b], acc[b], v_c[b], dts[b], noise)
-                               for b in blocks)
-
-
-def _step_term_block(omega, acc, v_c, dts, noise):
     x, y, z = (v_c * dts[:, None]).T
     terms = (omega, acc, v_c, dts.tolist(), _stack(skew_entries(x, y, z), (3, 3)),
              _stack(_flow_entries(dts), (6, 3)), (noise.sd_gyro**2 * dts).tolist(),
