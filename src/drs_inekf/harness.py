@@ -138,14 +138,13 @@ def initial_state_for_run(dataset, rng):
 
 
 def monte_carlo(dataset, variant, noise, n_runs, seed):
-    """Run the filter n_runs times with independent initial-error draws."""
+    """Yield n_runs filter trajectories with independent initial-error
+    draws, each as soon as its run finishes."""
     model = VirtualLeg()
     rng = np.random.default_rng(seed)
-    trajectories = []
     for _ in range(n_runs):
-        state = initial_state_for_run(dataset, rng)
-        trajectories.append(run_variant(state, dataset, variant, model, noise))
-    return trajectories
+        yield run_variant(initial_state_for_run(dataset, rng), dataset,
+                          variant, model, noise)
 
 
 def _run_fault(trajectory):
@@ -238,11 +237,24 @@ def cli_simulate(args):
     try:
         config = parse_scenario_config(args.config)
         # open --out first, so that a path that cannot be written fails before
-        # generating, but to append: a failed run leaves an existing file whole
-        with open(args.out, "a") as fh:
-            dataset = generate(config)
-            fh.truncate(0)
-            write_jsonl(dataset, fh)
+        # generating, but to append: a failed run leaves an existing file
+        # whole, and removes a file that it created
+        try:
+            fh, created = open(args.out, "x"), True
+        except FileExistsError:
+            fh, created = open(args.out, "a"), False
+        with fh:
+            try:
+                # generate reports a non-finite dataset, so an overflow on the
+                # way there is no warning
+                with np.errstate(all="ignore"):
+                    dataset = generate(config)
+                fh.truncate(0)
+                write_jsonl(dataset, fh)
+            except BaseException:
+                if created:
+                    pathlib.Path(args.out).unlink()
+                raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -255,28 +267,30 @@ def cli_simulate(args):
 
 
 def cli_run(args):
+    """Check, write and score each run as it finishes: only one run's states
+    are alive at a time, and the report keeps each run's error table."""
     outdir = pathlib.Path(args.out)
+    error_rows = []
     try:
         dataset = load_jsonl(args.dataset)
         outdir.mkdir(parents=True, exist_ok=True)
-        trajectories = monte_carlo(dataset, FilterVariant(args.variant),
-                                   NoiseConfig(), args.runs, args.seed)
+        for traj in monte_carlo(dataset, FilterVariant(args.variant),
+                                NoiseConfig(), args.runs, args.seed):
+            i = len(error_rows)
+            if fault := _run_fault(traj):
+                print(f"error: run {i} produced {fault}", file=sys.stderr)
+                return 2
+            save_trajectory(traj, outdir / f"run_{i:02d}.jsonl")
+            times, errs = trajectory_errors(dataset, traj)
+            error_rows.append(errs)
+            del traj    # else the loop target keeps run i alive during run i+1
     except np.linalg.LinAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    error_stack = []
-    times = None
-    for i, traj in enumerate(trajectories):
-        if fault := _run_fault(traj):
-            print(f"error: run {i} produced {fault}", file=sys.stderr)
-            return 2
-        save_trajectory(traj, outdir / f"run_{i:02d}.jsonl")
-        times, errs = trajectory_errors(dataset, traj)
-        error_stack.append(errs)
-    error_stack = np.array(error_stack)
+    error_stack = np.array(error_rows)
     report = make_report(times, error_stack)
     with open(outdir / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)

@@ -218,13 +218,18 @@ def generate(config):
     The surface, the base reference, the footholds, the truth and the
     noise are evaluated on the whole time grid.  A config that leaves no IMU
     step, no measurement step, or no free step for a contact switch raises
-    ValueError before anything is evaluated.
+    ValueError before anything is evaluated, and so does a dataset that comes
+    out non-finite.
     """
     rng = np.random.default_rng(config.seed)
     noise = config.noise
     leg = VirtualLeg()
     dt = 1.0 / config.imu_rate
-    n = int(round(config.duration * config.imu_rate))
+    steps = config.duration * config.imu_rate
+    if not math.isfinite(steps):
+        raise ValueError(f"duration {config.duration:g} s at {config.imu_rate:g} "
+                         "Hz overflows the IMU step count")
+    n = int(round(steps))
     if n == 0:
         raise ValueError(f"duration {config.duration:g} s rounds to zero IMU steps")
     times = np.arange(n + 1) * dt
@@ -339,7 +344,7 @@ def generate(config):
         "base_height": config.base_height,
         "seed": config.seed,
     }
-    return ScenarioDataset(
+    dataset = ScenarioDataset(
         dt=dt,
         truth_t=times,
         truth_rot=truth_rot, truth_v=truth_v, truth_p=truth_p,
@@ -351,6 +356,12 @@ def generate(config):
         switch_t=times[switch], switch_q=switch_q,
         meta=meta,
     )
+    # extreme but finite settings (a noise SD of 1e300) can overflow
+    for f in fields(dataset):
+        value = getattr(dataset, f.name)
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+            raise ValueError(f"the config gives a non-finite {f.name}")
+    return dataset
 
 
 def save_jsonl(dataset, path):
@@ -396,14 +407,31 @@ def write_jsonl(dataset, fh):
 _JSON_NUMBER = {int, float, type(None)}
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path):
-    """The JSON value of each line, parsed as one array: a blank or broken
-    line breaks it, and a line of two values makes the count differ."""
+    """The JSON value of each line, accepted exactly when ``json.loads`` of
+    the line alone accepts it; a ValueError names the first bad line.
+
+    ``raw_decode`` parses a line that starts with its value; a line that it
+    rejects, or that holds more than a newline after the value, goes to
+    ``json.loads``, which decides it."""
+    values = []
     with open(path) as fh:
-        lines = fh.readlines()
-    values = json.loads("[" + ",".join(lines) + "]")
-    if len(values) != len(lines):
-        raise ValueError(f"{path}: a line does not hold one JSON value")
+        for line in fh:
+            try:
+                value, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end is None or line[end:] != "\n":
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"{path}: line {len(values) + 1} does not hold one "
+                        f"JSON value: {exc.msg} at column {exc.colno}") from None
+            values.append(value)
     return values
 
 

@@ -1,14 +1,18 @@
 """Evaluation utilities and CLI behavior."""
 
 import contextlib
+import csv
 import functools
+import gc
 import io
 import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -106,12 +110,12 @@ def test_make_report_structure():
 def test_monte_carlo_runs_are_distinct():
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
                                  duration=1.0, meas_rate=10.0, seed=1))
-    trajs = monte_carlo(ds, FilterVariant.DRS, NoiseConfig(), 3, seed=2)
+    trajs = list(monte_carlo(ds, FilterVariant.DRS, NoiseConfig(), 3, seed=2))
     assert len(trajs) == 3
     v0 = [tr[0].X.v for tr in trajs]
     assert not np.allclose(v0[0], v0[1])
     # same seed reproduces
-    again = monte_carlo(ds, FilterVariant.DRS, NoiseConfig(), 3, seed=2)
+    again = list(monte_carlo(ds, FilterVariant.DRS, NoiseConfig(), 3, seed=2))
     assert np.allclose(trajs[0][-1].X.v, again[0][-1].X.v, atol=1e-12)
 
 
@@ -577,6 +581,7 @@ def test_cli_simulate_rejects_configs_without_a_schedule(tmp_path, capsys,
     # the switch configs used to end in an IndexError traceback (or, below
     # half a step, write a switch at t = 0), the others in an invalid dataset;
     # a failed simulate leaves an existing --out file as it was
+    # and leaves no file at a fresh --out path
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(f"profile = TM2\nduration = 1.0\nmeas_rate = 10\n{setting}\n")
     out = tmp_path / "x.jsonl"
@@ -585,6 +590,11 @@ def test_cli_simulate_rejects_configs_without_a_schedule(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert out.read_text() == "kept\n"
+    # and removes the file it created at a fresh path
+    fresh = tmp_path / "fresh.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--out", str(fresh)]) == 1
+    assert capsys.readouterr().err == err
+    assert not fresh.exists()
 
 
 def test_cli_simulate_replaces_a_longer_file(tmp_path, capsys):
@@ -618,11 +628,14 @@ def test_cli_simulate_rejects_bad_profile_tables(tmp_path, capsys, table):
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])
-@pytest.mark.parametrize("edit", ["comma", "space", "blank", "trailing-blank"])
+@pytest.mark.parametrize("edit", ["comma", "space", "blank", "trailing-blank",
+                                  "split-and-joined"])
 def test_cli_rejects_lines_that_do_not_hold_one_record(tmp_path, capsys,
                                                        command, edit):
-    # the reader parses all lines at once: two records on one line, a blank
-    # line in the middle and a trailing blank line stay errors
+    # the reader parses each line on its own: two records on one line, a
+    # blank line in the middle, a trailing blank line, and a record split
+    # over two lines at a dropped comma beside a line of two records (which
+    # a parse of all lines joined by commas read as one value per line)
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
                                  duration=1.0, meas_rate=10.0, seed=2))
     data = tmp_path / "scenario.jsonl"
@@ -640,8 +653,12 @@ def test_cli_rejects_lines_that_do_not_hold_one_record(tmp_path, capsys,
         lines[2:4] = [lines[2].rstrip("\n") + " " + lines[3]]
     elif edit == "blank":
         lines.insert(2, "\n")
-    else:
+    elif edit == "trailing-blank":
         lines.append("\n")
+    else:
+        cut = lines[1].index(', "')
+        lines[1:4] = [lines[1][:cut] + "\n", lines[1][cut + 2:],
+                      lines[2].rstrip("\n") + ", " + lines[3]]
     target.write_text("".join(lines))
     capsys.readouterr()
     if command == "run":
@@ -649,7 +666,10 @@ def test_cli_rejects_lines_that_do_not_hold_one_record(tmp_path, capsys,
     else:
         argv = ["eval", "--truth", str(data), "--estimate", str(est)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if edit == "split-and-joined":
+        assert f"{target}: line 2 does not hold one JSON value" in err
 
 
 def _reference_save_trajectory(trajectory, path):
@@ -748,3 +768,162 @@ def test_cli_run_checks_every_state_of_every_chunk(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in out.iterdir()) == ["run_00.jsonl"]
     _reference_save_trajectory(states, tmp_path / "ref.jsonl")
     assert (out / "run_00.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+class _Trajectory(list):
+    """A trajectory that a weak reference can follow."""
+
+
+def _reference_run(dataset_path, variant, n_runs, seed, outdir):
+    """`run` as it was before it streamed: every run first, then the run
+    files, report.json and envelope.csv.  Returns what `run` prints."""
+    dataset = load_jsonl(dataset_path)
+    trajectories = list(monte_carlo(dataset, FilterVariant(variant),
+                                    NoiseConfig(), n_runs, seed))
+    outdir.mkdir()
+    rows = []
+    for i, traj in enumerate(trajectories):
+        save_trajectory(traj, outdir / f"run_{i:02d}.jsonl")
+        times, errs = trajectory_errors(dataset, traj)
+        rows.append(errs)
+    report = json.dumps(make_report(times, np.array(rows)).to_dict(), indent=2)
+    (outdir / "report.json").write_text(report)
+    lo, hi = np.min(rows, axis=0), np.max(rows, axis=0)
+    with open(outdir / "envelope.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"{name}_{end}" for name in ERROR_VARS
+                                 for end in ("min", "max")])
+        for t, lo_t, hi_t in zip(times, lo, hi):
+            writer.writerow([f"{t:.6f}"] + [f"{x:.9g}" for pair in
+                                            zip(lo_t, hi_t) for x in pair])
+    return report + "\n"
+
+
+def _files(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("variant", ["drs", "srs"])
+@pytest.mark.parametrize("fail_at", [None, 1], ids=["all-runs", "linalg-in-run-1"])
+def test_cli_run_checks_writes_and_scores_each_run_as_it_finishes(
+        tmp_path, capsys, monkeypatch, variant, fail_at):
+    # when run i starts, run i-1's states are gone and its file is written;
+    # the outputs are the bytes of a run that keeps every trajectory, and a
+    # LinAlgError in run 1 exits 2 with run 0 written and no report
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
+                                 duration=2.0, meas_rate=10.0, seed=2))
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    printed = _reference_run(data, variant, 3, 1, tmp_path / "ref")
+    out = tmp_path / "runs"
+    alive, started = [], []
+
+    def spy(*args):
+        gc.collect()
+        started.append(([ref() is not None for ref in alive],
+                        sorted(p.name for p in out.iterdir())))
+        if len(started) - 1 == fail_at:
+            raise np.linalg.LinAlgError("planted")
+        traj = _Trajectory(run_variant(*args))
+        alive.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(harness, "run_variant", spy)
+    capsys.readouterr()
+    code = main(["run", "--dataset", str(data), "--variant", variant,
+                 "--runs", "3", "--seed", "1", "--out", str(out)])
+    written = [f"run_{i:02d}.jsonl" for i in range(3)]
+    assert started == [([False] * i, written[:i]) for i in range(len(started))]
+    reference = _files(tmp_path / "ref")
+    captured = capsys.readouterr()
+    if fail_at is None:
+        assert code == 0
+        assert captured.out == printed and captured.err == ""
+        assert _files(out) == reference
+    else:
+        assert code == 2
+        assert captured.err == "error: planted\n"
+        assert _files(out) == {"run_00.jsonl": reference["run_00.jsonl"]}
+
+
+class _Hang(Exception):
+    """An example that ran past its time limit."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise _Hang(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_NUMBER_TEXT = st.sampled_from(["nan", "-nan", "inf", "-inf", "0", "-0.0",
+                                "-1", "1e300", "-1e300", "1e400", "5e-324",
+                                "x", ""])
+
+
+def _number(lo, hi):
+    """Config text of a float in [lo, hi] three times in four, else of a
+    special value."""
+    return st.one_of(_NUMBER_TEXT, *[st.floats(lo, hi).map(repr)] * 3)
+
+
+# no example allocates more than 2 s x 400 Hz of samples: a drawn duration
+# or rate is in range or special, and NaN, inf, zero and negatives are
+# rejected before generating, a step count from 1e300 before allocating
+_CONFIG_VALUES = {
+    "duration": _number(0.0, 2.0),
+    "imu_rate": _number(1.0, 400.0),
+    "meas_rate": _number(0.1, 400.0),
+    "orient_rate": _number(0.0, 400.0),
+    "step_period": _number(0.0, 2.0),
+    "stride_width": _number(-1.0, 1.0),
+    "base_height": _number(-2.0, 2.0),
+    "seed": st.one_of(_NUMBER_TEXT, st.integers(0, 2**70).map(str)),
+    "draw_biases": st.sampled_from(["1", "true", "no", "x"]),
+    "robot_motion": st.sampled_from(["RM1", "RM2", "RM3"]),
+    **{key: st.sampled_from(["TM1", "TM2", "TM3", "constant", "TM9",
+                             "missing.csv"])
+       for key in ("profile", "filter_profile")},
+    **{key: _number(0.0, 10.0)
+       for key in ("sd_gyro", "sd_accel", "sd_bias_gyro", "sd_bias_accel",
+                   "sd_contact_vel", "sd_encoder_deg", "sd_drs_orient_deg")},
+}
+_CONFIG_LINE = st.one_of(
+    *(st.tuples(st.just(key), values).map(" = ".join)
+      for key, values in _CONFIG_VALUES.items()),
+    st.sampled_from(["# comment", "", "warp_speed = 1", "duration", "= 1"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(duration=_CONFIG_VALUES["duration"],
+       lines=st.lists(_CONFIG_LINE, max_size=6))
+def test_cli_simulate_exits_0_with_a_dataset_or_1_with_one_error_line(
+        tmp_path_factory, duration, lines):
+    # drawn config files: exit 0 and a dataset that load_jsonl reads, or
+    # exit 1, one "error: " line and no file; never a traceback or a hang
+    tmp = tmp_path_factory.mktemp("config")
+    cfg = tmp / "scenario.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in [f"duration = {duration}",
+                                                    *lines]))
+    out = tmp / "scenario.jsonl"
+    err = io.StringIO()
+    with _time_limit(30.0), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    if code == 0:       # numpy may warn on stderr, e.g. of the summary line
+        assert "error: " not in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        load_jsonl(out)
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert not out.exists()
