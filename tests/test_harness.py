@@ -590,7 +590,6 @@ def test_cli_simulate_rejects_configs_without_a_schedule(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert out.read_text() == "kept\n"
-    # and removes the file it created at a fresh path
     fresh = tmp_path / "fresh.jsonl"
     assert main(["simulate", "--config", str(cfg), "--out", str(fresh)]) == 1
     assert capsys.readouterr().err == err
@@ -634,8 +633,8 @@ def test_cli_rejects_lines_that_do_not_hold_one_record(tmp_path, capsys,
                                                        command, edit):
     # the reader parses each line on its own: two records on one line, a
     # blank line in the middle, a trailing blank line, and a record split
-    # over two lines at a dropped comma beside a line of two records (which
-    # a parse of all lines joined by commas read as one value per line)
+    # over two lines at a dropped comma beside a line of two records, whose
+    # value counts offset each other, are errors
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
                                  duration=1.0, meas_rate=10.0, seed=2))
     data = tmp_path / "scenario.jsonl"
