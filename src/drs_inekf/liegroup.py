@@ -34,11 +34,6 @@ def skew(v):
 _SKEW_BASIS = np.array([skew(e).ravel() for e in np.eye(3)])
 
 
-def unskew(M):
-    """Inverse of skew for a 3x3 antisymmetric matrix."""
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
-
-
 def _k_polynomials(x, y, z, coefficients):
     """The 9 m entries, row-major, of a I + b K + c K^2, one matrix per
     (a, b, c), for K = skew(phi) with phi = (x, y, z), from
@@ -225,25 +220,6 @@ class GroupElement:
         M[:3, :3] = self.rot
         M[:3, 3:] = self.cols
         return M
-
-    @staticmethod
-    def from_matrix(M):
-        return GroupElement(np.array(M[:3, :3]), np.array(M[:3, 3:]))
-
-
-def sek3_hat(xi):
-    """12-vector to the 6x6 Lie algebra matrix."""
-    xi = np.asarray(xi, dtype=float)
-    M = np.zeros((6, 6))
-    M[:3, :3] = skew(xi[:3])
-    M[:3, 3] = xi[3:6]
-    M[:3, 4] = xi[6:9]
-    M[:3, 5] = xi[9:12]
-    return M
-
-
-def sek3_vee(M):
-    return np.concatenate([unskew(M[:3, :3]), M[:3, 3], M[:3, 4], M[:3, 5]])
 
 
 def sek3_exp(xi):

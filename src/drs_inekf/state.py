@@ -15,14 +15,6 @@ from .liegroup import GroupElement
 # not called here: the perfbench tracer wraps drs_inekf.state.compose
 from .liegroup import compose  # noqa: F401
 
-# index helpers into the 18-dim error vector
-IDX_ROT = slice(0, 3)
-IDX_VEL = slice(3, 6)
-IDX_POS = slice(6, 9)
-IDX_CONTACT = slice(9, 12)
-IDX_BG = slice(12, 15)
-IDX_BA = slice(15, 18)
-
 
 @dataclass(frozen=True)
 class BiasState:

@@ -9,9 +9,11 @@ import json
 import math
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -203,7 +205,25 @@ def test_cli_obs(tmp_path, capsys):
     table = json.loads(out.read_text())["tilt_sweep"]
     assert table[0]["rank"] == 8
     assert all(row["rank"] == 9 for row in table[1:])
+    assert all(list(row) == [
+        "rank", "roll_pitch_observable", "yaw_observable",
+        "velocity_observable", "position_observable", "contact_observable",
+        "tilt_rad"] for row in table)
     capsys.readouterr()
+
+
+def test_cli_simulate_summary_of_a_huge_contact_velocity(tmp_path, capsys):
+    # |v_c| near the float limit: its norm must not overflow on the way
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("profile = TM2\nduration = 1.0\nsd_contact_vel = 1e300\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "scenario.jsonl")])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out = capsys.readouterr().out
+    assert math.isfinite(float(re.search(r"max \|v_c\| (\S+) m/s", out)[1]))
 
 
 def test_cli_input_errors(tmp_path, capsys, monkeypatch):
@@ -240,6 +260,7 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         ["obs", "--max-tilt-deg", "-5"],
         ["obs", "--dt", "0"],
         ["obs", "--dt", "-1"],
+        ["obs", "--dt", "0.01"],
     ]
     for argv in cases:
         try:
@@ -917,7 +938,7 @@ def test_cli_simulate_exits_0_with_a_dataset_or_1_with_one_error_line(
     with _time_limit(30.0), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
-    if code == 0:       # numpy may warn on stderr, e.g. of the summary line
+    if code == 0:       # numpy may warn on stderr
         assert "error: " not in err.getvalue()
         assert "Traceback" not in err.getvalue()
         load_jsonl(out)

@@ -9,7 +9,7 @@ from drs_inekf.filter import E3
 from drs_inekf.observability import (ObservabilityReport, error_jacobian_nobias,
                                      measurement_rows, numerical_rank,
                                      observability_matrix, observability_report,
-                                     tilt_sweep, transition_matrix)
+                                     tilt_sweep)
 
 
 def test_bias_free_jacobian_is_nilpotent():
@@ -19,25 +19,10 @@ def test_bias_free_jacobian_is_nilpotent():
         assert np.allclose(np.linalg.matrix_power(A, 3), 0.0, atol=1e-12)
 
 
-def test_transition_matrix_equals_truncated_series():
-    # nilpotency makes the quadratic polynomial the exact exponential
-    rng = np.random.default_rng(1)
-    dt = 0.02
-    for _ in range(20):
-        A = error_jacobian_nobias(rng.standard_normal(3))
-        assert np.allclose(transition_matrix(A, dt), scipy.linalg.expm(A * dt),
-                           atol=1e-12)
-
-
 def test_measurement_rows_shapes():
     R = so3_exp(np.array([0.0, 0.1, 0.0]))
     assert measurement_rows(R).shape == (6, 12)
     assert measurement_rows(R, include_orientation=False).shape == (3, 12)
-
-
-def test_observability_matrix_requires_two_blocks():
-    with pytest.raises(ValueError):
-        observability_matrix(np.eye(3), 0.01, 1)
 
 
 def test_rank_horizontal_surface():
@@ -75,7 +60,7 @@ def test_position_difference_is_observable():
     # the direction p and pc moving together lies in the null space; the
     # direction moving oppositely does not
     R = so3_exp(np.array([0.0, np.radians(5.0), 0.0]))
-    O = observability_matrix(R, 1e-2, 3)
+    O = observability_matrix(R)
     ns = np.linalg.svd(O)[2][numerical_rank(O):].T
     together = np.zeros(12)
     together[6] = together[9] = 1.0
@@ -106,25 +91,34 @@ def test_tilt_sweep_reports():
         assert d["rank"] == rep.rank
 
 
-def test_rank_stable_across_dt_and_block_count():
-    R = so3_exp(np.array([0.0, np.radians(4.0), 0.0]))
-    for dt in (5e-3, 1e-2, 5e-2):
+def _phi_stack(R_drs, dt, n_blocks):
+    """[H; H Phi; H Phi^2; ...] for the transition matrix Phi = expm(A dt)."""
+    Phi = scipy.linalg.expm(error_jacobian_nobias(np.zeros(3)) * dt)
+    H = measurement_rows(R_drs)
+    return np.vstack([H @ np.linalg.matrix_power(Phi, k)
+                      for k in range(n_blocks)])
+
+
+@pytest.mark.parametrize("deg", [0.0, 4.0])
+def test_phi_stack_spans_the_dt_free_rows(deg):
+    # A^3 = 0, so H Phi^k = H + k dt HA + (k dt)^2 / 2 HA^2: for any dt != 0
+    # and 3 or more blocks, the same rows as [H; HA; HA^2]; two matrices
+    # span the same rows when each has the rank of the two stacked
+    R = so3_exp(np.array([0.0, np.radians(deg), 0.0]))
+    O = observability_matrix(R)
+    for dt in (1e-4, 1e-2, 5e-2):
         for n_blocks in (3, 4, 5):
-            O = observability_matrix(R, dt, n_blocks)
-            assert numerical_rank(O) == 9
+            stack = _phi_stack(R, dt, n_blocks)
+            ranks = (np.linalg.matrix_rank(stack),
+                     np.linalg.matrix_rank(np.vstack([stack, O])))
+            assert ranks == (numerical_rank(O),) * 2, (dt, n_blocks)
 
 
 def _reference_report(R_drs, dt, n_blocks):
-    """The per-tilt report that the stacked sweep replaced: one full SVD of
-    one observability matrix, each flag from the projection of a unit
-    direction onto the null space."""
-    H = measurement_rows(R_drs)
-    Phi = transition_matrix(error_jacobian_nobias(np.zeros(3)), dt)
-    blocks, Pk = [], np.eye(12)
-    for _ in range(n_blocks):
-        blocks.append(H @ Pk)
-        Pk = Pk @ Phi
-    O = np.vstack(blocks)
+    """The per-tilt report of the transition-matrix stack at (dt, n_blocks):
+    one full SVD of one observability matrix, each flag from the projection
+    of a unit direction onto the null space."""
+    O = _phi_stack(R_drs, dt, n_blocks)
     _, s, Vt = np.linalg.svd(O)
     rank = int(np.sum(s > 1e-8 * s[0])) if s[0] > 0.0 else 0
     ns = Vt[rank:].T
@@ -135,17 +129,51 @@ def _reference_report(R_drs, dt, n_blocks):
     tilt = float(np.arccos(np.clip(np.dot(R_drs @ E3, E3), -1.0, 1.0)))
     return ObservabilityReport(rank, observable(0, (0, 1)), observable(0, (2,)),
                                observable(1, range(3)), observable(2, range(3)),
-                               observable(3, range(3)), dt, n_blocks, tilt)
+                               observable(3, range(3)), tilt)
 
 
 @pytest.mark.parametrize("max_deg, step_deg, dt, n_blocks", [
     (10.0, 0.01, 1e-2, 3), (30.0, 0.37, 5e-2, 4)])
 def test_tilt_sweep_equals_per_tilt_reference(max_deg, step_deg, dt, n_blocks):
-    # the obs CLI's sweep: tilt 0 (rank 8) first, stacks of tilts across
+    # the obs CLI's sweep against the transition-matrix stack that the
+    # dt-free matrix replaced: tilt 0 (rank 8) first, stacks of tilts across
     # chunk boundaries; every field equal, tilt_rad bit for bit
     tilts = np.radians(np.arange(0.0, max_deg + 1e-9, step_deg))
-    reports = tilt_sweep(tilts, dt=dt, n_blocks=n_blocks)
+    reports = tilt_sweep(tilts)
     assert len(reports) == tilts.size > 64
     assert reports[0].rank == 8
     assert reports == [_reference_report(so3_exp(np.array([0.0, t, 0.0])),
                                          dt, n_blocks) for t in tilts]
+
+
+def test_rank_9_at_every_tilt_from_1e_4_to_89_degrees():
+    tilts = np.radians(np.concatenate([[0.0], np.geomspace(1e-4, 89.0, 60)]))
+    level, *tilted = tilt_sweep(tilts)
+    assert level == ObservabilityReport(8, True, False, True, False, False, 0.0)
+    for rep, tilt in zip(tilted, tilts[1:]):
+        assert (rep.rank, rep.roll_pitch_observable, rep.yaw_observable,
+                rep.velocity_observable, rep.position_observable,
+                rep.contact_observable) == (9, True, True, True, False,
+                                            False), np.degrees(tilt)
+
+
+def _unit(*indices):
+    e = np.zeros(12)
+    e[list(indices)] = 1.0
+    return e
+
+
+# generators of the unobservable group in error coordinates: a translation
+# shared by p and pc, and on a level surface also a yaw about gravity
+_TRANSLATIONS = [_unit(6 + i, 9 + i) for i in range(3)]
+_YAW = _unit(2)
+
+
+@pytest.mark.parametrize("deg", [0.0, 1e-4, 0.5, 10.0, 45.0, 89.0])
+def test_null_space_is_the_symmetry(deg):
+    O = observability_matrix(so3_exp(np.array([0.0, np.radians(deg), 0.0])))
+    G = np.column_stack(_TRANSLATIONS + ([_YAW] if deg == 0.0 else []))
+    null_space = np.linalg.svd(O)[2][numerical_rank(O):].T
+    assert null_space.shape[1] == G.shape[1] == (4 if deg == 0.0 else 3)
+    assert np.max(scipy.linalg.subspace_angles(null_space, G)) < 1e-8
+    assert np.linalg.norm(O @ G) < 1e-12

@@ -9,17 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from drs_inekf.harness import parse_scenario_config
 from drs_inekf.liegroup import compose, inverse, sek3_exp, sek3_log
-from drs_inekf.state import (IDX_BA, IDX_BG, IDX_CONTACT, IDX_POS, IDX_ROT,
-                             IDX_VEL, BiasState, NoiseConfig,
-                             load_noise_config, run_covariance, symmetrize)
-
-
-def test_index_slices_partition_18_dims():
-    slices = [IDX_ROT, IDX_VEL, IDX_POS, IDX_CONTACT, IDX_BG, IDX_BA]
-    covered = []
-    for s in slices:
-        covered.extend(range(s.start, s.stop))
-    assert covered == list(range(18))
+from drs_inekf.state import (BiasState, NoiseConfig, load_noise_config,
+                             run_covariance, symmetrize)
 
 
 def test_bias_state_vector_roundtrip():
