@@ -211,9 +211,10 @@ def error_jacobian(Ad, v_c_tilde):
                                 1.0)
 
 
-def process_noise_covariance(Ad, noise, dt):
+def _noise_covariance(Ad, w_gyro, white):
     """Effective continuous-time noise density, rotated into the invariant
-    error frame.
+    error frame, from the gyro density ``w_gyro`` and the ``white`` diagonal
+    of the other blocks (StepTerms.w_gyro and StepTerms.white).
 
     White sensor noises are per-sample SDs at the step rate, so their
     densities scale with dt; bias walks are densities already.  Each white
@@ -221,11 +222,6 @@ def process_noise_covariance(Ad, noise, dt):
     block gives w G G^T with G = Ad[:, :3], and the accel and contact-velocity
     blocks, whose adjoint columns hold R alone, give w R R^T = w I.
     """
-    return _noise_covariance(Ad, noise.sd_gyro**2 * dt,
-                             np.array(_white_entries(noise, dt)).repeat(3))
-
-
-def _noise_covariance(Ad, w_gyro, white):
     G = Ad[:, :3]
     Q = np.zeros((18, 18))
     Q[:12, :12] = (G * w_gyro).dot(G.T)
@@ -381,25 +377,14 @@ def jump_propagate(state, q_tilde_at_landing, model, noise):
     return FilterState(X_new, state.theta, symmetrize(P), state.t)
 
 
-def _event_schedule(dataset):
-    """Per IMU step, the index of the contact switch, the encoder sample and
-    the surface-orientation sample that fall at the end of the step, or -1."""
-    schedule = np.full((dataset.imu_t.size, 3), -1)
-    for col, times in enumerate((dataset.switch_t, dataset.meas_t,
-                                 dataset.drs_t)):
-        schedule[dataset.event_steps(times), col] = np.arange(times.size)
-    return schedule
-
-
 def run_variant(state, dataset, variant, model, noise):
     """Run the filter over a scenario dataset.
 
     Returns the list of filter states at measurement times.  The dataset
-    must pass ``ScenarioDataset.validate``.
+    must pass ``ScenarioDataset.validate``, which gives the event schedule.
     """
-    dataset.validate()
+    schedule = dataset.validate()
     steps = _stacked_step_terms(dataset, noise, variant)
-    schedule = _event_schedule(dataset)
 
     trajectory = []
     for (js, jm, jo), terms in zip(schedule.tolist(), steps):

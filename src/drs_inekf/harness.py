@@ -86,13 +86,8 @@ def convergence_time(times, series, threshold):
     below = np.abs(series) < threshold
     if not below[-1]:
         return None
-    idx = np.where(~below)[0]
-    if idx.size == 0:
-        return float(times[0])
-    last_bad = idx[-1]
-    if last_bad + 1 >= times.size:
-        return None
-    return float(times[last_bad + 1])
+    bad = np.flatnonzero(~below)
+    return float(times[bad[-1] + 1 if bad.size else 0])
 
 
 @dataclass
@@ -204,6 +199,8 @@ _FLOAT_KEYS = {
     "duration", "imu_rate", "meas_rate", "orient_rate", "step_period",
     "stride_width", "base_height",
 }
+_BOOLEANS = {"1": True, "0": False, "true": True, "false": False,
+             "yes": True, "no": False}
 
 
 def parse_scenario_config(path):
@@ -220,7 +217,10 @@ def parse_scenario_config(path):
         elif key == "seed":
             kwargs[key] = int(raw)
         elif key == "draw_biases":
-            kwargs[key] = raw.lower() in ("1", "true", "yes")
+            if raw.lower() not in _BOOLEANS:
+                raise ValueError(f"draw_biases must be one of "
+                                 f"{'/'.join(_BOOLEANS)}, got {raw!r}")
+            kwargs[key] = _BOOLEANS[raw.lower()]
         elif key in _FLOAT_KEYS:
             kwargs[key] = float(raw)
         else:
@@ -320,9 +320,8 @@ def cli_eval(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    tol = 0.25 * dataset.dt     # ScenarioDataset.validate's tolerance
-    if not (ts.size and ts.min() >= dataset.truth_t[0] - tol
-            and ts.max() <= dataset.truth_t[-1] + tol):
+    if not (ts.size and ts.min() >= dataset.truth_t[0] - dataset.time_tol
+            and ts.max() <= dataset.truth_t[-1] + dataset.time_tol):
         print("error: estimate epochs lie outside the truth window",
               file=sys.stderr)
         return 1

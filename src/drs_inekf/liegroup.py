@@ -49,16 +49,11 @@ def _k_polynomials(x, y, z, coefficients):
 
 
 def so3_exp(phi):
-    """Rodrigues formula with sin(a)/a = 1 - a^2 c2 and (1 - cos a)/a^2 = c1,
-    coefficients that stay exact at small angles.  A (n, 3) stack of
+    """Exp(phi), the first matrix of ``so3_series``, copied so that it does
+    not keep Gamma_1 and Gamma_2 alive; the copy keeps the series' memory
+    order, on which numpy's stacked products round.  A (n, 3) stack of
     rotation vectors gives a (n, 3, 3) stack of rotations."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim == 2:
-        return _stacked_series(phi, 1)[:, 0]
-    x, y, z = phi.tolist()
-    t = x * x + y * y + z * z
-    c1, c2, _ = _gamma_coefficients(t)
-    return np.array(_k_polynomials(x, y, z, [(1.0, 1.0 - t * c2, c1)])).reshape(3, 3)
+    return so3_series(phi)[..., 0, :, :].copy(order="K")
 
 
 def rot_to_quat(R):
@@ -154,7 +149,7 @@ def so3_series(phi):
     stacked as one (3, 3, 3) array; a (n, 3) stack gives (n, 3, 3, 3)."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim == 2:
-        return _stacked_series(phi, 3)
+        return _stacked_series(phi)
     x, y, z = phi.tolist()
     t = x * x + y * y + z * z
     c1, c2, c3 = _gamma_coefficients(t)
@@ -162,17 +157,17 @@ def so3_series(phi):
                                              (0.5, c2, c3)])).reshape(3, 3, 3)
 
 
-def _stacked_series(phi, count):
-    """The first ``count`` of (Exp, Gamma_1, Gamma_2) for each row of a
-    (n, 3) stack, as (n, count, 3, 3), with the scalar kernels' arithmetic."""
+def _stacked_series(phi):
+    """(Exp, Gamma_1, Gamma_2) for each row of a (n, 3) stack, as
+    (n, 3, 3, 3), with the scalar kernel's arithmetic."""
     x, y, z = phi.T
     t = x * x + y * y + z * z
     series = t < _SERIES_ANGLE_SQ
     big = np.where(series, 1.0, t)      # keeps the discarded closed form finite
     c1, c2, c3 = [np.where(series, a, b) for a, b in zip(
         _gamma_series(t), _gamma_closed(big, np.sqrt(big), np.sin))]
-    rows = [(1.0, 1.0 - t * c2, c1), (1.0, c1, c2), (0.5, c2, c3)][:count]
-    return np.array(_k_polynomials(x, y, z, rows)).T.reshape(-1, count, 3, 3)
+    rows = [(1.0, 1.0 - t * c2, c1), (1.0, c1, c2), (0.5, c2, c3)]
+    return np.array(_k_polynomials(x, y, z, rows)).T.reshape(-1, 3, 3, 3)
 
 
 def so3_left_jacobian_inv(phi):

@@ -104,10 +104,14 @@ class ScenarioDataset:
         return GroupElement.from_parts(self.truth_rot[0], self.truth_v[0],
                                        self.truth_p[0], self.truth_pc[0])
 
+    @property
+    def time_tol(self):     # how far an event may lie from its step's end
+        return 0.25 * self.dt
+
     def event_steps(self, times):
-        """Per event time, the IMU step whose end time lies within a quarter
-        step of it, or -1 for an event that falls on no step."""
-        tol = 0.25 * self.dt
+        """Per event time, the IMU step whose end time lies within
+        ``time_tol`` of it, or -1 for an event that falls on no step."""
+        tol = self.time_tol
         t_end = np.append(self.imu_t[1:], self.imu_t[-1:] + self.dt)
         step = np.searchsorted(t_end, times - tol, side="right")
         hit = np.append(t_end, np.inf)[step] < times + tol
@@ -116,14 +120,16 @@ class ScenarioDataset:
     def validate(self):
         """Raise ValueError unless the streams form a dataset the filter and
         the error evaluation read correctly: the one definition of a valid
-        dataset."""
+        dataset.  Return its event schedule: per IMU step, the index of the
+        contact switch, the encoder record and the surface-orientation record
+        at the end of the step, or -1."""
         if not self.imu_t.size:
             raise ValueError("dataset has no IMU records")
         if len(self.contact_v) != self.imu_t.size:
             raise ValueError(f"dataset has {len(self.contact_v)} contact_vel "
                              f"records for {self.imu_t.size} IMU records")
         # the filter is scored up to the end of the last IMU step
-        tol = 0.25 * self.dt
+        tol = self.time_tol
         if not self.truth_t.size or self.truth_t[0] > self.imu_t[0] + tol \
                 or self.truth_t[-1] < self.imu_t[-1] + self.dt - tol:
             raise ValueError("truth records do not span the IMU window")
@@ -133,19 +139,23 @@ class ScenarioDataset:
                             ("truth", self.truth_t)):
             if np.any(np.diff(times) <= 0.0):
                 raise ValueError(f"{name} stream timestamps out of order")
-        enc_steps = self.event_steps(self.meas_t)
-        for name, times, home in (("contact switch", self.switch_t, "IMU"),
-                                  ("encoder", self.meas_t, "IMU"),
-                                  ("surface orientation", self.drs_t, "encoder")):
+        schedule = np.full((self.imu_t.size, 3), -1)
+        for col, (name, times, home) in enumerate((
+                ("contact switch", self.switch_t, "IMU"),
+                ("encoder", self.meas_t, "IMU"),
+                ("surface orientation", self.drs_t, "encoder"))):
             step = self.event_steps(times)
             # an orientation record is applied with the encoder record of its
-            # step, which the encoder pass has put on the IMU grid
-            off = step < 0 if home == "IMU" else ~np.isin(step, enc_steps)
+            # step, which the encoder pass has put into the schedule; a step
+            # of -1 would read the last row, so step < 0 is tested for all
+            off = (step < 0) | ((home == "encoder") & (schedule[step, 1] < 0))
             if off.any():
                 raise ValueError(f"{name} record at t={times[off.argmax()]:.6g}"
                                  f" falls on no {home} step")
             if np.unique(step).size < step.size:
                 raise ValueError(f"two {name} events fall on one IMU step")
+            schedule[step, col] = np.arange(times.size)
+        return schedule
 
 
 class _BaseReference:
@@ -504,7 +514,7 @@ def load_jsonl(path):
     dataset.validate()
     # the n-th contact_vel record is the n-th IMU record's, within a quarter step
     vc_t = column("contact_vel", "t")
-    off = np.abs(vc_t - dataset.imu_t) >= 0.25 * dt
+    off = np.abs(vc_t - dataset.imu_t) >= dataset.time_tol
     if off.any():
         raise ValueError(f"contact_vel record at t={vc_t[off][0]:.6g} does not "
                          f"match its IMU record at t={dataset.imu_t[off][0]:.6g}")

@@ -13,8 +13,7 @@ from drs_inekf.filter import (COND_LIMIT, E3, GRAVITY, MAX_SUBSTEP_ROT,
                               error_jacobian, innovation, integrate_mean,
                               jump_propagate, observation_row,
                               orientation_observation, position_observation,
-                              process_noise_covariance, propagate,
-                              run_variant, update)
+                              propagate, run_variant, step_terms, update)
 from drs_inekf.kinematics import VirtualLeg
 from drs_inekf.harness import initial_state_for_run
 from drs_inekf.liegroup import (GroupElement, adjoint, compose, inverse,
@@ -478,8 +477,10 @@ def _relative(a, b):
 def test_noise_covariance_matches_adjoint_sandwich(xi, dt):
     Ad = adjoint(sek3_exp(xi))
     noise = NoiseConfig()
-    assert _relative(process_noise_covariance(Ad, noise, dt),
-                     _reference_noise(Ad, noise, dt)) < 1e-12
+    terms = step_terms(ProcessInput(ImuSample(np.zeros(3), np.zeros(3), 0.0),
+                                    np.zeros(3), dt), noise)
+    Q = filter_module._noise_covariance(Ad, terms.w_gyro, terms.white)
+    assert _relative(Q, _reference_noise(Ad, noise, dt)) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)

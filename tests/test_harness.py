@@ -311,8 +311,11 @@ def test_cli_simulate_opens_out_before_generating(tmp_path, capsys,
     ("switch_t", None, "two contact switch events fall on one IMU step"),
     ("drs_t", 0.02,
      "surface orientation record at t=0.12 falls on no encoder step"),
+    ("drs_t", 0.002,
+     "surface orientation record at t=0.102 falls on no encoder step"),
     ("meas_t", 0.002, "encoder record at t=0.102 falls on no IMU step")],
-    ids=["imu_t", "switch_t", "drs_t-shifted", "meas_t-off-grid"])
+    ids=["imu_t", "switch_t", "drs_t-shifted", "drs_t-off-grid",
+         "meas_t-off-grid"])
 def test_cli_run_maps_filter_input_errors_to_exit_1(tmp_path, capsys,
                                                     stream, shift, message):
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM2"),
@@ -559,11 +562,12 @@ def test_thresholds_cover_all_error_vars():
 @pytest.mark.parametrize("setting", [
     "duration = nan", "imu_rate = nan", "meas_rate = nan", "duration = inf",
     "seed = -1", "step_period = 0", "step_period = -0.8", "base_height = nan",
-    "sd_gyro = nan"])
+    "sd_gyro = nan", "draw_biases = ture"])
 def test_cli_simulate_rejects_bad_numbers_before_generating(
         tmp_path, capsys, monkeypatch, setting):
     # each used to end in a traceback, hang in generate (the two step
-    # periods) or write a dataset holding NaN (base_height, sd_gyro)
+    # periods) or write a dataset holding NaN (base_height, sd_gyro) or
+    # zero biases (the misspelt draw_biases)
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(f"profile = TM2\nduration = 1.0\nmeas_rate = 10\n{setting}\n")
     calls = []

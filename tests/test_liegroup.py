@@ -146,8 +146,8 @@ _UNIT = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(
 @example(angle=0.1 * (1.0 + 1e-12), axis=np.array([0.6, -0.48, 0.64]))
 @example(angle=np.pi - 1e-6, axis=np.array([0.0, 0.0, 1.0]))
 def test_series_kernels_match_block_exponential(angle, axis):
-    # the entry-wise kernels of so3_series and so3_exp, on both sides of the
-    # series switch at |phi|^2 = 1e-2 and up to just below pi
+    # the entry-wise kernel of so3_series, whose Exp so3_exp returns, on both
+    # sides of the series switch at |phi|^2 = 1e-2 and up to just below pi
     phi = angle * axis / np.linalg.norm(axis)
     _assert_series_matches_block_exponential(phi)
 
@@ -258,11 +258,13 @@ def _assert_stack_equals_elementwise(fn, stack):
 @given(phis=_ROTATION_VECTORS)
 @example(phis=np.array([a * np.array([0.6, -0.48, 0.64]) for a in _EDGE_ANGLES]))
 def test_stacked_primitives_equal_their_elementwise_use(phis):
-    # so3_exp and so3_series pick their scalar kernel for one (3,) vector and
-    # a stacked branch for (n, 3); the conversions take any leading shape
+    # so3_series picks its scalar kernel for one (3,) vector and a stacked
+    # branch for (n, 3); the conversions take any leading shape
     for fn in (so3_exp, so3_series, so3_left_jacobian_inv):
         _assert_stack_equals_elementwise(fn, phis)
     rotations = so3_exp(phis)
+    # a copy: a view would keep the stack of Gamma_1 and Gamma_2 alive
+    assert rotations.base is None
     for fn in (so3_log, rot_to_quat):
         _assert_stack_equals_elementwise(fn, rotations)
     quats = rot_to_quat(rotations)

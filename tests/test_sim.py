@@ -82,6 +82,22 @@ def test_stream_shapes_and_schedules():
         set(steps.astype(int))
 
 
+def test_validate_returns_the_event_schedule():
+    # per IMU step, the switch, encoder and orientation record that falls at
+    # its end, or -1; the rotations of a generated dataset own their memory
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM1"), duration=3.0,
+                                 meas_rate=100.0, orient_rate=15.0, seed=4))
+    schedule = ds.validate()
+    assert schedule.shape == (ds.imu_t.size, 3)
+    for col, times in enumerate((ds.switch_t, ds.meas_t, ds.drs_t)):
+        assert times.size > 0
+        want = np.full(ds.imu_t.size, -1)
+        for j, t in enumerate(times):
+            want[np.argmin(np.abs(ds.imu_t + ds.dt - t))] = j
+        assert np.array_equal(schedule[:, col], want)
+    assert ds.truth_rot.base is None
+
+
 def test_orientation_stream_is_subset_of_measurements():
     ds = generate(small_config(duration=4.0, meas_rate=20.0, orient_rate=5.0))
     assert 0 < ds.drs_t.size < ds.meas_t.size

@@ -80,11 +80,11 @@ def _reference_propagate(state, inp, noise, variant):
 def _reference_run(state, dataset, variant, model, noise):
     """The run loop with one ProcessInput and one reference step per IMU
     sample."""
-    dataset.validate()
+    schedule = dataset.validate()
     t_imu = dataset.imu_t
     dts = np.append(np.diff(t_imu), dataset.dt)
     trajectory = []
-    for k, (js, jm, jo) in enumerate(filter_module._event_schedule(dataset).tolist()):
+    for k, (js, jm, jo) in enumerate(schedule.tolist()):
         imu = ImuSample(dataset.imu_omega[k], dataset.imu_acc[k], t_imu[k])
         inp = ProcessInput(imu, dataset.contact_v[k], dts[k])
         state = _reference_propagate(state, inp, noise, variant)
