@@ -86,8 +86,10 @@ def convergence_time(times, series, threshold):
     below = np.abs(series) < threshold
     if not below[-1]:
         return None
-    bad = np.flatnonzero(~below)
-    return float(times[bad[-1] + 1 if bad.size else 0])
+    idx = np.where(~below)[0]
+    if idx.size == 0:
+        return float(times[0])
+    return float(times[idx[-1] + 1])
 
 
 @dataclass

@@ -105,7 +105,8 @@ class ScenarioDataset:
                                        self.truth_p[0], self.truth_pc[0])
 
     @property
-    def time_tol(self):     # how far an event may lie from its step's end
+    def time_tol(self):
+        """How far an event may lie from the end of its IMU step."""
         return 0.25 * self.dt
 
     def event_steps(self, times):
