@@ -213,8 +213,7 @@ def error_jacobian(Ad, v_c_tilde):
 
 def _noise_covariance(Ad, w_gyro, white):
     """Effective continuous-time noise density, rotated into the invariant
-    error frame, from the gyro density ``w_gyro`` and the ``white`` diagonal
-    of the other blocks (StepTerms.w_gyro and StepTerms.white).
+    error frame, from StepTerms' gyro density ``w_gyro`` and ``white`` diagonal.
 
     White sensor noises are per-sample SDs at the step rate, so their
     densities scale with dt; bias walks are densities already.  Each white

@@ -49,10 +49,9 @@ def _k_polynomials(x, y, z, coefficients):
 
 
 def so3_exp(phi):
-    """Exp(phi), the first matrix of ``so3_series``, copied so that it does
-    not keep Gamma_1 and Gamma_2 alive; the copy keeps the series' memory
-    order, on which numpy's stacked products round.  A (n, 3) stack of
-    rotation vectors gives a (n, 3, 3) stack of rotations."""
+    """Exp(phi), the first matrix of ``so3_series``, copied (in the series'
+    memory order, on which stacked products round) so as not to keep Gamma_1
+    and Gamma_2 alive; a (n, 3) stack gives a (n, 3, 3) stack."""
     return so3_series(phi)[..., 0, :, :].copy(order="K")
 
 
@@ -131,28 +130,20 @@ def _gamma_closed(t, angle, sin):
     return c1, c2, (0.5 - c1) / t                 # (angle^2/2 + cos - 1)/angle^4
 
 
-def _gamma_coefficients(t):
-    """(c1, c2, c3) such that, with K = skew(phi) and t = |phi|^2,
-    Gamma_1 = I + c1 K + c2 K^2 and Gamma_2 = I/2 + c2 K + c3 K^2.
-
-    The closed forms cancel at small angles, so a power series takes over
-    there.
-    """
-    if t < _SERIES_ANGLE_SQ:
-        return _gamma_series(t)
-    return _gamma_closed(t, math.sqrt(t), math.sin)
-
-
 def so3_series(phi):
     """Exp(phi), the left Jacobian Gamma_1 = sum K^n/(n+1)! and its double
-    time integral Gamma_2 = sum K^n/(n+2)!, from one set of coefficients,
-    stacked as one (3, 3, 3) array; a (n, 3) stack gives (n, 3, 3, 3)."""
+    time integral Gamma_2 = sum K^n/(n+2)!, stacked as one (3, 3, 3) array; a
+    (n, 3) stack gives (n, 3, 3, 3).  With K = skew(phi) and t = |phi|^2,
+    Gamma_1 = I + c1 K + c2 K^2, Gamma_2 = I/2 + c2 K + c3 K^2 and
+    Exp = I + (1 - t c2) K + c1 K^2; the closed forms of (c1, c2, c3) cancel
+    at small angles, so a power series takes over there."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim == 2:
         return _stacked_series(phi)
     x, y, z = phi.tolist()
     t = x * x + y * y + z * z
-    c1, c2, c3 = _gamma_coefficients(t)
+    c1, c2, c3 = (_gamma_series(t) if t < _SERIES_ANGLE_SQ
+                  else _gamma_closed(t, math.sqrt(t), math.sin))
     return np.array(_k_polynomials(x, y, z, [(1.0, 1.0 - t * c2, c1), (1.0, c1, c2),
                                              (0.5, c2, c3)])).reshape(3, 3, 3)
 

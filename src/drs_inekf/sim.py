@@ -119,11 +119,9 @@ class ScenarioDataset:
         return np.where(hit, step, -1)
 
     def validate(self):
-        """Raise ValueError unless the streams form a dataset the filter and
-        the error evaluation read correctly: the one definition of a valid
-        dataset.  Return its event schedule: per IMU step, the index of the
-        contact switch, the encoder record and the surface-orientation record
-        at the end of the step, or -1."""
+        """Raise ValueError unless the filter and the error evaluation read the
+        streams correctly; return the event schedule: per IMU step, the switch,
+        encoder and surface-orientation record at its end, or -1."""
         if not self.imu_t.size:
             raise ValueError("dataset has no IMU records")
         if len(self.contact_v) != self.imu_t.size:
@@ -146,9 +144,7 @@ class ScenarioDataset:
                 ("encoder", self.meas_t, "IMU"),
                 ("surface orientation", self.drs_t, "encoder"))):
             step = self.event_steps(times)
-            # an orientation record is applied with the encoder record of its
-            # step, which the encoder pass has put into the schedule; a step
-            # of -1 would read the last row, so step < 0 is tested for all
+            # orientation needs the encoder record of its step; -1 is no step
             off = (step < 0) | ((home == "encoder") & (schedule[step, 1] < 0))
             if off.any():
                 raise ValueError(f"{name} record at t={times[off.argmax()]:.6g}"

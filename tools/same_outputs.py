@@ -4,16 +4,19 @@
         --seeds 1 2 3 4 5 --tm2-seeds 5000 5001 5002
 
 For each seed, each checkout generates a dataset and runs its CLI on it:
-``run --variant drs`` and ``run --variant srs`` (``--runs`` runs, the seed
-as ``--seed``), then ``eval`` on every written run file.  ``--seeds`` take
-the Case-A dataset of the ``rocking-mc`` workload (perfbench/workloads.py),
-``--tm2-seeds`` criterion 8's TM2/RM2 dataset.  Each checkout also runs
-``obs`` once, over 0-10 degrees in steps of ``--obs-step-deg``.
+``run --variant drs`` and ``run --variant srs`` (``RUNS`` runs, the seed as
+``--seed``), then ``eval`` on every written run file.  ``--seeds`` take the
+Case-A dataset of the ``rocking-mc`` workload, imported from the checkout's
+``perfbench/workloads.py``; ``--tm2-seeds`` take criterion 8's TM2/RM2
+dataset.  Each checkout also runs ``obs`` once, over the workload's tilt
+range in steps of ``OBS_STEP_DEG``.  The units are the tool's own, not the
+workload's ``RockingMC._calls``: they also evaluate the SRS runs and run on
+the TM2/RM2 dataset, which no workload writes to files.
 
 Every unit runs in-process in one interpreter per checkout and seed, with
-the checkout's ``src`` on the path.  The tool compares each unit's exit
-code, standard output and standard error, the dataset file and every file
-the runs write, and prints one JSON document: the number of items compared
+the checkout's root and ``src`` on the path.  The tool compares each unit's
+exit code, standard output and standard error, the dataset file and every
+file the runs write, and prints one JSON document: the number of items compared
 and the first that differs, with its first differing line, or null.  It
 exits 0 when everything is identical and 1 otherwise.
 """
@@ -29,7 +32,7 @@ import sys
 import tempfile
 
 RUNS = 10
-OBS_MAX_TILT_DEG = 10.0
+OBS_STEP_DEG = 0.05
 
 # runs inside a checkout: argv[1] is a JSON job, the result goes to stdout
 _DRIVER = r"""
@@ -37,6 +40,13 @@ import contextlib, io, json, pathlib, sys
 from drs_inekf.drs import PitchProfile
 from drs_inekf.harness import main
 from drs_inekf.sim import ScenarioConfig, generate, save_jsonl
+from perfbench.workloads import CASE_A, OBS_MAX_TILT_DEG
+
+# the rocking-mc workload's Case A; criterion 8's scenario (test_acceptance)
+SCENARIOS = {"case-a": CASE_A,
+             "tm2-rm2": dict(profile=PitchProfile(kind="TM2"),
+                             robot_motion="RM2", duration=10.0,
+                             meas_rate=15.0)}
 
 job = json.loads(sys.argv[1])
 out = pathlib.Path(job["out"])
@@ -53,13 +63,12 @@ def call(name, argv):
 
 
 if job["scenario"] is None:
-    call("obs", ["obs", "--max-tilt-deg", str(job["max_tilt"]),
+    call("obs", ["obs", "--max-tilt-deg", str(OBS_MAX_TILT_DEG),
                  "--step-deg", str(job["step"])])
 else:
-    cfg = dict(job["scenario"])
-    cfg["profile"] = PitchProfile(**cfg["profile"])
     data = str(out / "dataset.jsonl")
-    save_jsonl(generate(ScenarioConfig(seed=job["seed"], **cfg)), data)
+    cfg = ScenarioConfig(seed=job["seed"], **SCENARIOS[job["scenario"]])
+    save_jsonl(generate(cfg), data)
     for v in ("drs", "srs"):
         if call(f"run-{v}", ["run", "--dataset", data, "--variant", v,
                              "--runs", str(job["runs"]),
@@ -71,16 +80,11 @@ else:
 json.dump(results, sys.stdout)
 """
 
-# the rocking-mc workload's Case A and criterion 8's scenario
-CASE_A = dict(profile=dict(kind="TM1", phase_s=2.8), robot_motion="RM1",
-              duration=8.0, imu_rate=200.0, meas_rate=100.0, orient_rate=15.0)
-TM2_RM2 = dict(profile=dict(kind="TM2"), robot_motion="RM2", duration=10.0,
-               meas_rate=15.0)
-
 
 def run_job(checkout, job):
-    src = pathlib.Path(checkout, "src").resolve()
-    env = dict(os.environ, PYTHONPATH=str(src))
+    root = pathlib.Path(checkout).resolve()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root)]))
     proc = subprocess.run([sys.executable, "-c", _DRIVER, json.dumps(job)],
                           capture_output=True, text=True, env=env)
     if proc.returncode != 0:
@@ -132,18 +136,15 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3, 4, 5])
     ap.add_argument("--tm2-seeds", type=int, nargs="*",
                     default=[5000, 5001, 5002])
-    ap.add_argument("--runs", type=int, default=RUNS)
-    ap.add_argument("--obs-step-deg", type=float, default=0.05)
     ap.add_argument("--workdir", help="where the outputs go (default: a new "
                     "temporary directory, removed afterwards)")
     args = ap.parse_args(argv)
 
-    jobs = [("obs", dict(scenario=None, max_tilt=OBS_MAX_TILT_DEG,
-                         step=args.obs_step_deg))]
-    jobs += [(f"case-a-{s}", dict(scenario=CASE_A, seed=s, runs=args.runs))
-             for s in args.seeds]
-    jobs += [(f"tm2-rm2-{s}", dict(scenario=TM2_RM2, seed=s, runs=args.runs))
-             for s in args.tm2_seeds]
+    jobs = [("obs", dict(scenario=None, step=OBS_STEP_DEG))]
+    jobs += [(f"{name}-{s}", dict(scenario=name, seed=s, runs=RUNS))
+             for name, seeds in (("case-a", args.seeds),
+                                 ("tm2-rm2", args.tm2_seeds))
+             for s in seeds]
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(args.workdir or tmp)
         first, compared = None, 0
