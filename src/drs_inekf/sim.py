@@ -144,7 +144,8 @@ class ScenarioDataset:
                 ("encoder", self.meas_t, "IMU"),
                 ("surface orientation", self.drs_t, "encoder"))):
             step = self.event_steps(times)
-            # orientation needs the encoder record of its step; -1 is no step
+            # orientation needs the encoder record of its step; step < 0 is
+            # tested for all, since a step of -1 would read the last row
             off = (step < 0) | ((home == "encoder") & (schedule[step, 1] < 0))
             if off.any():
                 raise ValueError(f"{name} record at t={times[off.argmax()]:.6g}"
