@@ -22,8 +22,8 @@ from .drs import make_profile, profile_from_csv
 from .filter import FilterVariant, run_variant
 from .kinematics import VirtualLeg
 from .liegroup import GroupElement, quat_to_rot, rot_to_quat, so3_exp, so3_log
-from .sim import (ScenarioConfig, generate, initial_error_draw, load_jsonl,
-                  read_column, read_jsonl, write_jsonl)
+from .sim import (ScenarioConfig, generate, initial_error_draw, json_lines,
+                  load_jsonl, read_column, read_jsonl, write_jsonl)
 from .state import (BiasState, FilterState, NoiseConfig, read_config,
                     run_covariance)
 from .observability import tilt_sweep
@@ -37,6 +37,8 @@ POST_WINDOW_START = 5.0
 # a covariance eigenvalue below -PSD_TOL times the largest one is not rounding
 PSD_TOL = 1e-9
 _CHUNK = 64     # states that `run` stacks at a time to check and to write
+# the fields of a trajectory record, in the order written
+TRAJECTORY_KEYS = ("t", "quat", "v", "p", "p_c", "b_omega", "b_acc", "p_diag")
 
 
 def error_angles(R_est, R_true):
@@ -111,15 +113,19 @@ class RunReport:
 
 
 def make_report(times, error_stack):
-    """RunReport from stacked per-run errors (n_runs, n_epochs, 6)."""
+    """RunReport from stacked per-run errors (n_runs, n_epochs, 6).  An RMS
+    error that overflows raises FloatingPointError naming its variable."""
     error_stack = np.asarray(error_stack)
     post = times >= POST_WINDOW_START
     rms_full, rms_post, conv = {}, {}, {}
     for j, name in enumerate(ERROR_VARS):
         col = error_stack[:, :, j]
-        rms_full[name] = float(np.sqrt(np.mean(col**2)))
-        rms_post[name] = (float(np.sqrt(np.mean(col[:, post]**2)))
-                          if post.any() else None)
+        with np.errstate(over="ignore"):
+            rms_full[name] = float(np.sqrt(np.mean(col**2)))
+            rms_post[name] = (float(np.sqrt(np.mean(col[:, post]**2)))
+                              if post.any() else None)
+        if not math.isfinite(rms_full[name]):   # then so is rms_post
+            raise FloatingPointError(f"the RMS error of {name} is not finite")
         worst = np.max(np.abs(col), axis=0)
         conv[name] = convergence_time(times, worst, DEFAULT_THRESHOLDS[name])
     return RunReport(rms_full, rms_post, conv,
@@ -166,20 +172,17 @@ def _run_fault(trajectory):
 
 
 def save_trajectory(trajectory, path):
-    """One JSON record per state, written _CHUNK states at a time from stacked
-    ``tolist`` fields: json writes any float as its ``repr``."""
+    """One JSON record per state, written _CHUNK states at a time from
+    stacked fields."""
     with open(path, "w") as fh:
         for start in range(0, len(trajectory), _CHUNK):
             chunk = trajectory[start:start + _CHUNK]
-            quats = rot_to_quat(np.array([st.X.rot for st in chunk]))
-            vectors = np.array([(*st.X.cols.T, st.theta.b_omega, st.theta.b_acc)
-                                for st in chunk])
-            p_diag = np.array([st.P.diagonal() for st in chunk])
-            fh.write("".join(json.dumps({
-                "t": st.t, "quat": quat, "v": v, "p": p, "p_c": pc,
-                "b_omega": b_omega, "b_acc": b_acc, "p_diag": diag,
-            }) + "\n" for st, quat, (v, p, pc, b_omega, b_acc), diag in
-                zip(chunk, quats.tolist(), vectors.tolist(), p_diag.tolist())))
+            fh.writelines(json_lines(TRAJECTORY_KEYS, [
+                [st.t for st in chunk],
+                rot_to_quat(np.array([st.X.rot for st in chunk])),
+                *np.array([(*st.X.cols.T, st.theta.b_omega, st.theta.b_acc)
+                           for st in chunk]).swapaxes(0, 1),
+                np.array([st.P.diagonal() for st in chunk])]))
 
 
 def load_trajectory_arrays(path):
@@ -187,9 +190,8 @@ def load_trajectory_arrays(path):
     records = read_jsonl(path)
     if not all(isinstance(rec, dict) for rec in records):
         raise ValueError(f"{path}: a line is not a trajectory record")
-    ts = read_column(records, "trajectory", "t")
-    quats = read_column(records, "trajectory", "quat", (4,))
-    vs = read_column(records, "trajectory", "v", (3,))
+    ts, quats, vs = (read_column(records, "trajectory", key, shape) for key, shape
+                     in zip(TRAJECTORY_KEYS, ((), (4,), (3,))))
     return ts, quat_to_rot(quats), vs
 
 
@@ -296,8 +298,6 @@ def cli_run(args):
         return 1
     error_stack = np.array(error_rows)
     report = make_report(times, error_stack)
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
     with open(outdir / "envelope.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["t"]
@@ -311,7 +311,7 @@ def cli_run(args):
             for j in range(6):
                 row += [f"{lo[i, j]:.9g}", f"{hi[i, j]:.9g}"]
             writer.writerow(row)
-    print(json.dumps(report.to_dict(), indent=2))
+    _write_json(report.to_dict(), outdir / "report.json")
     return 0
 
 
@@ -328,12 +328,7 @@ def cli_eval(args):
               file=sys.stderr)
         return 1
     errors = epoch_errors(dataset, ts, rots, vs)
-    report = make_report(ts, errors[None, :, :])
-    out = report.to_dict()
-    print(json.dumps(out, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(out, fh, indent=2)
+    _write_json(make_report(ts, errors[None, :, :]).to_dict(), args.out)
     return 0
 
 
@@ -344,13 +339,17 @@ def cli_obs(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    table = [r.to_dict() for r in reports]
-    out = {"tilt_sweep": table}
-    print(json.dumps(out, indent=2))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(out, fh, indent=2)
+    _write_json({"tilt_sweep": [r.to_dict() for r in reports]}, args.out)
     return 0
+
+
+def _write_json(doc, path):
+    """Write a JSON document to path, if any, then print it.  Strict JSON:
+    a non-finite number raises ValueError rather than print NaN."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    if path:
+        pathlib.Path(path).write_text(text)
+    print(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,6 +418,9 @@ def main(argv=None):
     except OSError as exc:      # a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except FloatingPointError as exc:   # an RMS error that overflows
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

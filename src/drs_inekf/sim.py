@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -372,6 +372,29 @@ def generate(config):
     return dataset
 
 
+# The dataset file after its meta record: per record kind, in file order, the
+# ScenarioDataset attribute of its "t" and its fields as (JSON key, attribute,
+# width).  A *_rot attribute is written as quaternions, an attribute of two
+# fields is split by width, and each IMU record precedes its step's contact_vel.
+RECORDS = {
+    "truth": ("truth_t", (("quat", "truth_rot", 4), ("v", "truth_v", 3),
+                          ("p", "truth_p", 3), ("p_c", "truth_pc", 3))),
+    "imu": ("imu_t", (("omega", "imu_omega", 3), ("acc", "imu_acc", 3))),
+    "contact_vel": ("imu_t", (("v_c", "contact_v", 3),)),
+    "encoder": ("meas_t", (("q", "enc_q", 6),)),
+    "drs_pose": ("drs_t", (("quat", "drs_rot", 4),)),
+    "contact_switch": ("switch_t", (("q_prev", "switch_q", 6), ("q_new", "switch_q", 6))),
+}
+
+
+def json_lines(keys, columns):
+    """One JSON line per row of the columns, under ``keys`` in order.  Each
+    array column is converted once with ``tolist()``: json writes any float,
+    a numpy one included, as its ``repr``."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return (json.dumps(dict(zip(keys, row))) + "\n" for row in zip(*columns))
+
+
 def save_jsonl(dataset, path):
     """Serialize a dataset to JSON Lines with a leading meta record."""
     with open(path, "w") as fh:
@@ -381,33 +404,19 @@ def save_jsonl(dataset, path):
 def write_jsonl(dataset, fh):
     """Write a dataset as JSON Lines to an open text file."""
     fh.write(json.dumps({"type": "meta", "dt": dataset.dt,
-                         "bias": list(dataset.bias), **dataset.meta}) + "\n")
-    truth_quat = rot_to_quat(dataset.truth_rot).tolist()
-    for i, t in enumerate(dataset.truth_t):
-        fh.write(json.dumps({
-            "type": "truth", "t": t,
-            "quat": truth_quat[i],
-            "v": list(dataset.truth_v[i]), "p": list(dataset.truth_p[i]),
-            "p_c": list(dataset.truth_pc[i])}) + "\n")
-    for i, t in enumerate(dataset.imu_t):
-        fh.write(json.dumps({
-            "type": "imu", "t": t,
-            "omega": list(dataset.imu_omega[i]),
-            "acc": list(dataset.imu_acc[i])}) + "\n")
-        fh.write(json.dumps({
-            "type": "contact_vel", "t": t,
-            "v_c": list(dataset.contact_v[i])}) + "\n")
-    for i, t in enumerate(dataset.meas_t):
-        fh.write(json.dumps({
-            "type": "encoder", "t": t,
-            "q": list(dataset.enc_q[i])}) + "\n")
-    for t, quat in zip(dataset.drs_t, rot_to_quat(dataset.drs_rot).tolist()):
-        fh.write(json.dumps({"type": "drs_pose", "t": t, "quat": quat}) + "\n")
-    for i, t in enumerate(dataset.switch_t):
-        fh.write(json.dumps({
-            "type": "contact_switch", "t": t,
-            "q_prev": list(dataset.switch_q[i][:6]),
-            "q_new": list(dataset.switch_q[i][6:])}) + "\n")
+                         "bias": dataset.bias.tolist(), **dataset.meta}) + "\n")
+    lines = {}
+    for kind, (time, entries) in RECORDS.items():
+        columns = [repeat(kind), getattr(dataset, time)]
+        for i, (_, attr, width) in enumerate(entries):
+            value = getattr(dataset, attr)
+            start = sum(w for _, a, w in entries[:i] if a == attr)
+            columns.append(rot_to_quat(value) if attr.endswith("_rot")
+                           else value[:, start:start + width])
+        lines[kind] = json_lines(("type", "t", *(key for key, _, _ in entries)),
+                                 columns)
+    lines["imu"] = chain.from_iterable(zip(lines["imu"], lines.pop("contact_vel")))
+    fh.writelines(chain.from_iterable(lines.values()))
 
 
 # the JSON values a numeric field may hold; null reads as NaN and is
@@ -471,8 +480,7 @@ def read_column(records, kind, key, shape=()):
 
 def load_jsonl(path):
     """Reconstruct a ScenarioDataset from a JSON Lines file."""
-    records = {kind: [] for kind in ("meta", "truth", "imu", "contact_vel",
-                                     "encoder", "drs_pose", "contact_switch")}
+    records = {kind: [] for kind in ("meta", *RECORDS)}
     for rec in read_jsonl(path):
         kind = rec.pop("type", None) if isinstance(rec, dict) else None
         if not isinstance(kind, str) or kind not in records:
@@ -487,28 +495,16 @@ def load_jsonl(path):
     dt = float(column("meta", "dt")[-1])
     meta = records["meta"][-1]
     del meta["dt"]
-    bias = np.array(meta.pop("bias", [0.0] * 6))
-    dataset = ScenarioDataset(
-        dt=dt,
-        truth_t=column("truth", "t"),
-        truth_rot=quat_to_rot(column("truth", "quat", (4,))),
-        truth_v=column("truth", "v", (3,)),
-        truth_p=column("truth", "p", (3,)),
-        truth_pc=column("truth", "p_c", (3,)),
-        bias=bias,
-        imu_t=column("imu", "t"),
-        imu_omega=column("imu", "omega", (3,)),
-        imu_acc=column("imu", "acc", (3,)),
-        contact_v=column("contact_vel", "v_c", (3,)),
-        meas_t=column("encoder", "t"),
-        enc_q=column("encoder", "q", (6,)),
-        drs_t=column("drs_pose", "t"),
-        drs_rot=quat_to_rot(column("drs_pose", "quat", (4,))),
-        switch_t=column("contact_switch", "t"),
-        switch_q=np.hstack([column("contact_switch", "q_prev", (6,)),
-                            column("contact_switch", "q_new", (6,))]),
-        meta=meta,
-    )
+    arrays = dict(dt=dt, bias=np.array(meta.pop("bias", [0.0] * 6)), meta=meta)
+    for kind, (time, entries) in RECORDS.items():
+        if time not in arrays:      # contact_vel times are checked below
+            arrays[time] = column(kind, "t")
+        for key, attr, width in entries:
+            value = column(kind, key, (width,))
+            if attr.endswith("_rot"):
+                value = quat_to_rot(value)
+            arrays[attr] = np.hstack([arrays[attr], value]) if attr in arrays else value
+    dataset = ScenarioDataset(**arrays)
     dataset.validate()
     # the n-th contact_vel record is the n-th IMU record's, within a quarter step
     vc_t = column("contact_vel", "t")

@@ -198,6 +198,37 @@ def test_cli_eval(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["eval", "run"])
+def test_cli_exits_2_when_an_rms_error_overflows(tmp_path, capsys, monkeypatch,
+                                                 command):
+    # a finite velocity error of 1e300 squares to inf: one error line naming
+    # the variable and exit 2, not a numpy warning and "v_x": Infinity
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM1", phase_s=2.8),
+                                 robot_motion="RM1", duration=8.0,
+                                 meas_rate=100.0, orient_rate=15.0, seed=1))
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    traj = next(monte_carlo(ds, FilterVariant.DRS, NoiseConfig(), 1, 0))
+    st = traj[100]
+    traj[100] = FilterState(GroupElement.from_parts(st.X.rot, [1e300, 0.0, 0.0],
+                                                    st.X.p, st.X.pc),
+                            st.theta, st.P, st.t)
+    if command == "eval":
+        save_trajectory(traj, tmp_path / "run_00.jsonl")
+        argv = ["eval", "--truth", str(data), "--estimate",
+                str(tmp_path / "run_00.jsonl"), "--out", str(tmp_path / "eval.json")]
+    else:
+        monkeypatch.setattr(harness, "monte_carlo", lambda *args: [traj])
+        argv = ["run", "--dataset", str(data), "--out", str(tmp_path / "runs")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert not caught
+    assert capsys.readouterr() == ("", "error: the RMS error of v_x is not finite\n")
+    assert sorted(p.name for p in tmp_path.rglob("*.*")) == ["run_00.jsonl",
+                                                           "scenario.jsonl"]
+
+
 def test_cli_obs(tmp_path, capsys):
     out = tmp_path / "obs.json"
     assert main(["obs", "--max-tilt-deg", "3", "--step-deg", "1",

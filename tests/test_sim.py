@@ -1,17 +1,19 @@
 """Scenario generator: determinism, exactness, schedules, serialization."""
 
+import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drs_inekf.drs import PitchProfile, drs_pose_at
-from drs_inekf.liegroup import so3_exp, so3_log
-from drs_inekf.sim import (ScenarioConfig, generate, imu_from_trajectory,
-                           initial_error_draw, load_jsonl, save_jsonl)
+from drs_inekf.liegroup import rot_to_quat, so3_exp, so3_log
+from drs_inekf.sim import (RECORDS, ScenarioConfig, ScenarioDataset, generate,
+                           imu_from_trajectory, initial_error_draw, load_jsonl,
+                           save_jsonl, write_jsonl)
 from drs_inekf.state import NoiseConfig
 from drs_inekf.filter import GRAVITY, integrate_mean
 from drs_inekf.liegroup import GroupElement
@@ -270,21 +272,84 @@ def test_drawn_biases_recorded():
 
 
 def test_jsonl_roundtrip(tmp_path):
+    # the record table covers every field but dt, bias and meta, which the
+    # meta record holds; every field reads back exactly, except the rotations,
+    # which travel as quaternions
+    names = {f.name for f in fields(ScenarioDataset)}
+    table = {time for time, _ in RECORDS.values()} | {
+        attr for _, entries in RECORDS.values() for _, attr, _ in entries}
+    assert table | {"dt", "bias", "meta"} == names
+    assert not table & {"dt", "bias", "meta"}
     ds = generate(small_config(robot_motion="RM1", duration=2.0,
-                               orient_rate=5.0))
+                               orient_rate=5.0, draw_biases=True))
+    assert ds.switch_t.size and ds.drs_t.size and np.any(ds.bias != 0.0)
     path = tmp_path / "scenario.jsonl"
     save_jsonl(ds, path)
     back = load_jsonl(path)
-    assert np.allclose(back.truth_rot, ds.truth_rot, atol=1e-12)
-    assert np.allclose(back.truth_v, ds.truth_v, atol=1e-12)
-    assert np.allclose(back.imu_omega, ds.imu_omega, atol=1e-12)
-    assert np.allclose(back.contact_v, ds.contact_v, atol=1e-12)
-    assert np.allclose(back.enc_q, ds.enc_q, atol=1e-12)
-    assert np.allclose(back.meas_t, ds.meas_t, atol=1e-12)
-    assert np.allclose(back.drs_t, ds.drs_t, atol=1e-12)
-    assert np.allclose(back.drs_rot, ds.drs_rot, atol=1e-12)
-    assert np.allclose(back.switch_q, ds.switch_q, atol=1e-12)
-    assert back.meta["robot_motion"] == "RM1"
+    assert back.dt == ds.dt
+    assert back.meta == ds.meta and back.meta["robot_motion"] == "RM1"
+    for name in sorted(names - {"dt", "meta"}):
+        got, want = getattr(back, name), getattr(ds, name)
+        assert got.shape == want.shape, name
+        if name.endswith("_rot"):
+            assert np.abs(got - want).max() <= 1e-15, name
+        else:
+            assert np.array_equal(got, want), name
+
+
+def _reference_write_jsonl(dataset, fh):
+    """The per-record writer that the record table replaced."""
+    fh.write(json.dumps({"type": "meta", "dt": dataset.dt,
+                         "bias": list(dataset.bias), **dataset.meta}) + "\n")
+    truth_quat = rot_to_quat(dataset.truth_rot).tolist()
+    for i, t in enumerate(dataset.truth_t):
+        fh.write(json.dumps({
+            "type": "truth", "t": t,
+            "quat": truth_quat[i],
+            "v": list(dataset.truth_v[i]), "p": list(dataset.truth_p[i]),
+            "p_c": list(dataset.truth_pc[i])}) + "\n")
+    for i, t in enumerate(dataset.imu_t):
+        fh.write(json.dumps({
+            "type": "imu", "t": t,
+            "omega": list(dataset.imu_omega[i]),
+            "acc": list(dataset.imu_acc[i])}) + "\n")
+        fh.write(json.dumps({
+            "type": "contact_vel", "t": t,
+            "v_c": list(dataset.contact_v[i])}) + "\n")
+    for i, t in enumerate(dataset.meas_t):
+        fh.write(json.dumps({
+            "type": "encoder", "t": t,
+            "q": list(dataset.enc_q[i])}) + "\n")
+    for t, quat in zip(dataset.drs_t, rot_to_quat(dataset.drs_rot).tolist()):
+        fh.write(json.dumps({"type": "drs_pose", "t": t, "quat": quat}) + "\n")
+    for i, t in enumerate(dataset.switch_t):
+        fh.write(json.dumps({
+            "type": "contact_switch", "t": t,
+            "q_prev": list(dataset.switch_q[i][:6]),
+            "q_new": list(dataset.switch_q[i][6:])}) + "\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(robot_motion=st.sampled_from(["RM1", "RM2"]),
+       steps=st.integers(2, 160),
+       period_steps=st.integers(3, 60),
+       orient=st.one_of(st.none(), st.just(0.0), st.floats(0.05, 1.0)),
+       draw_biases=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_write_jsonl_writes_the_reference_bytes(robot_motion, steps, period_steps,
+                                                orient, draw_biases, seed):
+    # a few IMU steps up to 0.8 s, with and without contact switches and
+    # surface-orientation records, so every record kind may be empty but imu
+    meas_rate = 100.0
+    ds = generate(ScenarioConfig(
+        profile=PitchProfile(kind="TM1"), robot_motion=robot_motion,
+        duration=steps / 200.0, meas_rate=meas_rate,
+        orient_rate=None if orient is None else orient * meas_rate,
+        step_period=period_steps / 200.0, draw_biases=draw_biases, seed=seed))
+    new, ref = io.StringIO(), io.StringIO()
+    write_jsonl(ds, new)
+    _reference_write_jsonl(ds, ref)
+    assert new.getvalue() == ref.getvalue()
 
 
 def test_load_rejects_missing_meta(tmp_path):

@@ -8,7 +8,9 @@ For each seed, each checkout generates a dataset and runs its CLI on it:
 ``--seed``), then ``eval`` on every written run file.  ``--seeds`` take the
 Case-A dataset of the ``rocking-mc`` workload, imported from the checkout's
 ``perfbench/workloads.py``; ``--tm2-seeds`` take criterion 8's TM2/RM2
-dataset.  Each checkout also runs ``obs`` once, over the workload's tilt
+dataset, and the same dataset with no surface-orientation stream
+(``orient_rate = 0``), whose ``drs_pose`` and ``contact_switch`` record kinds
+are empty.  Each checkout also runs ``obs`` once, over the workload's tilt
 range in steps of ``OBS_STEP_DEG``.  The units are the tool's own, not the
 workload's ``RockingMC._calls``: they also evaluate the SRS runs and run on
 the TM2/RM2 dataset, which no workload writes to files.
@@ -42,11 +44,12 @@ from drs_inekf.harness import main
 from drs_inekf.sim import ScenarioConfig, generate, save_jsonl
 from perfbench.workloads import CASE_A, OBS_MAX_TILT_DEG
 
-# the rocking-mc workload's Case A; criterion 8's scenario (test_acceptance)
-SCENARIOS = {"case-a": CASE_A,
-             "tm2-rm2": dict(profile=PitchProfile(kind="TM2"),
-                             robot_motion="RM2", duration=10.0,
-                             meas_rate=15.0)}
+# the rocking-mc workload's Case A; criterion 8's scenario (test_acceptance),
+# also without its surface-orientation stream
+TM2_RM2 = dict(profile=PitchProfile(kind="TM2"), robot_motion="RM2",
+               duration=10.0, meas_rate=15.0)
+SCENARIOS = {"case-a": CASE_A, "tm2-rm2": TM2_RM2,
+             "tm2-rm2-no-orient": dict(TM2_RM2, orient_rate=0.0)}
 
 job = json.loads(sys.argv[1])
 out = pathlib.Path(job["out"])
@@ -143,7 +146,8 @@ def main(argv=None):
     jobs = [("obs", dict(scenario=None, step=OBS_STEP_DEG))]
     jobs += [(f"{name}-{s}", dict(scenario=name, seed=s, runs=RUNS))
              for name, seeds in (("case-a", args.seeds),
-                                 ("tm2-rm2", args.tm2_seeds))
+                                 ("tm2-rm2", args.tm2_seeds),
+                                 ("tm2-rm2-no-orient", args.tm2_seeds))
              for s in seeds]
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(args.workdir or tmp)
