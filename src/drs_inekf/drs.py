@@ -6,7 +6,8 @@ origin.  Profiles:
   TM2  2.5 deg * sin(pi t)
   TM3  TM1 shape + 5.1 deg + 1.7 deg * sin(pi t)
 The TM1 hold/ramp durations are reconstructed (2.8 s holds, 0.5 s ramps);
-the published waveform is not available, so they are parameters.
+the published waveform is not available.  The TM shapes are constants; a
+CSV profile table (``profile_from_csv``) supplies any other waveform.
 
 Angles and poses are evaluated for a scalar time or a whole time array.
 """
@@ -22,17 +23,21 @@ import numpy as np
 # not called here: the perfbench tracer wraps drs_inekf.drs.so3_exp
 from .liegroup import so3_exp  # noqa: F401
 
+# the TM shapes of the module docstring
+_HOLD = math.radians(8.0)           # TM1 plateau magnitude
+_HOLD_S = 2.8
+_RAMP_S = 0.5
+_PERIOD = 2.0 * (_HOLD_S + _RAMP_S)
+_RATE = 2.0 * _HOLD / _RAMP_S
+_AMP = math.radians(2.5)            # TM2 amplitude
+_FREQ = math.pi                     # TM2/TM3 sinusoid angular frequency
+_OFFSET = math.radians(5.1)         # TM3 constant offset
+_WOBBLE = math.radians(1.7)         # TM3 sinusoid amplitude
+
 
 @dataclass(frozen=True)
 class PitchProfile:
     kind: str = "constant"            # TM1 | TM2 | TM3 | constant | custom
-    hold_deg: float = 8.0             # TM1 plateau magnitude
-    hold_s: float = 2.8
-    ramp_s: float = 0.5
-    amp_deg: float = 2.5              # TM2 amplitude
-    freq: float = math.pi             # TM2/TM3 sinusoid angular frequency
-    offset_deg: float = 5.1           # TM3 constant offset
-    wobble_deg: float = 1.7           # TM3 sinusoid amplitude
     constant_deg: float = 0.0
     phase_s: float = 0.0              # TM1/TM3 trapezoid phase offset
     table_t: tuple = field(default=())     # custom: times (s)
@@ -44,13 +49,11 @@ class PitchProfile:
         if self.kind == "constant":
             return np.full(t.shape, math.radians(self.constant_deg))
         if self.kind == "TM2":
-            return math.radians(self.amp_deg) * np.sin(self.freq * t)
+            return _AMP * np.sin(_FREQ * t)
         if self.kind == "TM1":
             return self._trapezoid(t)
         if self.kind == "TM3":
-            wob = math.radians(self.wobble_deg)
-            return self._trapezoid(t) + (math.radians(self.offset_deg)
-                                         + wob * np.sin(self.freq * t))
+            return self._trapezoid(t) + (_OFFSET + _WOBBLE * np.sin(_FREQ * t))
         if self.kind == "custom":
             if len(self.table_t) < 2:
                 raise ValueError("custom profile needs at least two table rows")
@@ -58,17 +61,14 @@ class PitchProfile:
         raise ValueError(f"unknown pitch profile kind: {self.kind}")
 
     def _trapezoid(self, t):
-        hold = math.radians(self.hold_deg)
-        period = 2.0 * (self.hold_s + self.ramp_s)
-        rate = 2.0 * hold / self.ramp_s
         # time into the rising hold, the rising ramp, the upper hold and the
         # falling ramp, each measured from the start of its segment
-        tau1 = (t + self.phase_s) % period
-        tau2 = tau1 - self.hold_s
-        tau3 = tau2 - self.ramp_s
-        tau4 = tau3 - self.hold_s
-        return np.select([tau1 < self.hold_s, tau2 < self.ramp_s, tau3 < self.hold_s],
-                         [-hold, -hold + rate * tau2, hold], hold - rate * tau4)
+        tau1 = (t + self.phase_s) % _PERIOD
+        tau2 = tau1 - _HOLD_S
+        tau3 = tau2 - _RAMP_S
+        tau4 = tau3 - _HOLD_S
+        return np.select([tau1 < _HOLD_S, tau2 < _RAMP_S, tau3 < _HOLD_S],
+                         [-_HOLD, -_HOLD + _RATE * tau2, _HOLD], _HOLD - _RATE * tau4)
 
 
 def profile_from_csv(path):
@@ -90,7 +90,11 @@ def profile_from_csv(path):
 
 
 def make_profile(name):
+    """The profile of a built-in name, or of a CSV table at a path ending in
+    ``.csv``."""
     name = name.strip()
+    if name.endswith(".csv"):
+        return profile_from_csv(name)
     if name in ("TM1", "TM2", "TM3", "constant"):
         return PitchProfile(kind=name)
     raise ValueError(f"unknown profile name: {name}")

@@ -28,10 +28,8 @@ from . import liegroup
 log = logging.getLogger(__name__)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
-_SKEW_GRAVITY = skew(GRAVITY)
 # the constant parts of the Gamma-term increments (R Gamma_1 a, R Gamma_2 a)
 _GRAVITY_12 = np.column_stack([GRAVITY, 0.5 * GRAVITY])
-E3 = np.array([0.0, 0.0, 1.0])
 _EYE3 = np.eye(3)
 _EYE18 = np.eye(18)
 _ZERO3 = np.zeros(3)
@@ -179,20 +177,11 @@ def dynamics_matrix(X, theta, imu, v_c):
     return F
 
 
-def _fill_error_jacobian_nobias(A, v_c):
-    # the right-invariant error makes this block independent of the state
-    A[3:6, 0:3] = _SKEW_GRAVITY
-    A[6:9, 3:6] = _EYE3
-    A[9:12, 0:3] = skew(v_c)
-    return A
-
-
-def error_jacobian_nobias(v_c):
-    """12x12 bias-free block of the error Jacobian (nilpotent)."""
-    return _fill_error_jacobian_nobias(np.zeros((12, 12)), v_c)
-
-
-_ERROR_JACOBIAN_FIXED = _fill_error_jacobian_nobias(np.zeros((18, 18)), _ZERO3)
+# the blocks of the error Jacobian that the right-invariant error makes
+# independent of the state and the inputs
+_ERROR_JACOBIAN_FIXED = np.zeros((18, 18))
+_ERROR_JACOBIAN_FIXED[3:6, 0:3] = skew(GRAVITY)
+_ERROR_JACOBIAN_FIXED[6:9, 3:6] = _EYE3
 
 
 def _fill_error_jacobian(A, Ad, skew_v_c_dt, dt):
@@ -209,6 +198,11 @@ def error_jacobian(Ad, v_c_tilde):
     """18x18 Jacobian of the linearized invariant-error dynamics at adjoint Ad."""
     return _fill_error_jacobian(_ERROR_JACOBIAN_FIXED.copy(), Ad, skew(v_c_tilde),
                                 1.0)
+
+
+def error_jacobian_nobias(v_c):
+    """12x12 bias-free block of the error Jacobian (nilpotent)."""
+    return error_jacobian(np.zeros((12, 12)), v_c)[:12, :12].copy()
 
 
 def _noise_covariance(Ad, w_gyro, white):
@@ -286,12 +280,8 @@ def observation_row(kind, normal):
     raise ValueError(f"unknown observation kind: {kind}")
 
 
-def innovation(state, obs):
-    """Top three rows of X*Y - d, the top rows of X being [R | v p pc]."""
-    return _innovations(state.X, [obs])
-
-
 def _innovations(X, observations):
+    """The top three rows of X*Y - d per observation, X's being [R | v p pc]."""
     top = np.concatenate((X.rot, X.cols), axis=1)
     return np.concatenate([top.dot(obs.Y) - obs.d[:3] for obs in observations])
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drs import make_profile, profile_from_csv
+from .drs import make_profile
 from .filter import FilterVariant, run_variant
 from .kinematics import VirtualLeg
 from .liegroup import GroupElement, quat_to_rot, rot_to_quat, so3_exp, so3_log
@@ -212,10 +212,7 @@ def parse_scenario_config(path):
     kwargs = {}
     for key, raw in values.items():
         if key in _PROFILE_KEYS:
-            if raw.endswith(".csv"):
-                kwargs[key] = profile_from_csv(raw)
-            else:
-                kwargs[key] = make_profile(raw)
+            kwargs[key] = make_profile(raw)
         elif key == "robot_motion":
             kwargs[key] = raw
         elif key == "seed":

@@ -14,7 +14,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .filter import E3, error_jacobian_nobias, observation_row
+from .filter import error_jacobian_nobias, observation_row
+from .kinematics import E3
 from .liegroup import so3_exp
 
 RANK_RTOL = 1e-8
@@ -41,10 +42,6 @@ def observability_matrix(R_drs, include_orientation=True):
 def _ranks(s, rtol=RANK_RTOL):
     """Numerical ranks from singular values, largest first, on the last axis."""
     return np.sum(s > rtol * s[..., :1], axis=-1)
-
-
-def numerical_rank(M, rtol=RANK_RTOL):
-    return int(_ranks(np.linalg.svd(M, compute_uv=False), rtol))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .liegroup import (GroupElement, quat_to_rot, rot_to_quat, so3_exp,
 from .state import NoiseConfig
 
 _TWO_PI = 2.0 * math.pi
+_CONTACT_OFFSET = np.array([0.3, 0.0, 0.0])     # nominal foothold, surface frame (m)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class ScenarioConfig:
     step_period: float = 0.8
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     seed: int = 0
-    contact_offset: tuple = (0.3, 0.0, 0.0)      # nominal foothold, surface frame (m)
     stride_width: float = 0.1                    # lateral foothold offset (m)
     base_height: float = 0.9                     # nominal base height above foothold (m)
     draw_biases: bool = False                    # constant biases drawn from walk SDs
@@ -64,7 +64,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         for name in ("duration", "imu_rate", "meas_rate", "step_period"):
             if getattr(self, name) <= 0.0:
@@ -156,35 +156,27 @@ class ScenarioDataset:
         return schedule
 
 
-class _BaseReference:
-    """Closed-form world-frame base trajectory: bounded sway about a fixed pose."""
-
-    def __init__(self, config):
-        if config.robot_motion == "RM1":
-            f_step = 1.0 / config.step_period
-            self.pos_amp = np.array([0.03, 0.05, 0.02])       # m
-            self.rot_amp = np.array([0.02, 0.03, 0.04])       # rad
-            self.pos_freq = _TWO_PI * np.array([f_step, 0.5 * f_step, 2.0 * f_step])
-            self.rot_freq = _TWO_PI * np.array([0.5 * f_step, f_step, 0.5 * f_step])
-        else:
-            self.pos_amp = np.array([0.015, 0.02, 0.01])
-            self.rot_amp = np.array([0.01, 0.015, 0.02])
-            self.pos_freq = _TWO_PI * np.array([0.3, 0.25, 0.5])
-            self.rot_freq = _TWO_PI * np.array([0.2, 0.3, 0.25])
-        self.pos_phase = np.array([0.0, 1.1, 2.3])
-        self.rot_phase = np.array([0.7, 1.9, 0.4])
-        offset = np.asarray(config.contact_offset, dtype=float)
-        self.p0 = offset + np.array([0.0, 0.0, config.base_height])
-
-    def position(self, t):
-        return self.p0 + self.pos_amp * np.sin(self.pos_freq * t + self.pos_phase)
-
-    def velocity(self, t):
-        return self.pos_amp * self.pos_freq * np.cos(self.pos_freq * t + self.pos_phase)
-
-    def rotations(self, t):
-        """(n, 3, 3) rotations at a column of n times."""
-        return so3_exp(self.rot_amp * np.sin(self.rot_freq * t + self.rot_phase))
+def _base_reference(config, t):
+    """Closed-form world-frame base trajectory, a bounded sway about a fixed
+    pose: the (n, 3, 3) rotations and (n, 3) velocities at a column of n
+    times, and the position at t = 0."""
+    if config.robot_motion == "RM1":
+        f_step = 1.0 / config.step_period
+        pos_amp = np.array([0.03, 0.05, 0.02])       # m
+        rot_amp = np.array([0.02, 0.03, 0.04])       # rad
+        pos_freq = _TWO_PI * np.array([f_step, 0.5 * f_step, 2.0 * f_step])
+        rot_freq = _TWO_PI * np.array([0.5 * f_step, f_step, 0.5 * f_step])
+    else:
+        pos_amp = np.array([0.015, 0.02, 0.01])
+        rot_amp = np.array([0.01, 0.015, 0.02])
+        pos_freq = _TWO_PI * np.array([0.3, 0.25, 0.5])
+        rot_freq = _TWO_PI * np.array([0.2, 0.3, 0.25])
+    pos_phase = np.array([0.0, 1.1, 2.3])
+    rot_phase = np.array([0.7, 1.9, 0.4])
+    p0 = _CONTACT_OFFSET + np.array([0.0, 0.0, config.base_height])
+    return (so3_exp(rot_amp * np.sin(rot_freq * t + rot_phase)),
+            pos_amp * pos_freq * np.cos(pos_freq * t + pos_phase),
+            p0 + pos_amp * np.sin(pos_phase))
 
 
 def imu_from_trajectory(times, rotations, velocities):
@@ -208,8 +200,6 @@ def initial_error_draw(rng):
     Each velocity component is uniform in [-1.5, 1.5] m/s; each orientation
     exponential coordinate is uniform in [-1, 1] rad.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     dv = rng.uniform(-1.5, 1.5, size=3)
     dphi = rng.uniform(-1.0, 1.0, size=3)
     return dv, dphi
@@ -301,24 +291,20 @@ def generate(config):
     R_filt = drs_pose_at(filt_profile, times)
     # the support foot alternates at each switch; a switch step already
     # stands on the new foothold, which is fixed in the surface frame
-    offset = np.asarray(config.contact_offset, dtype=float)
     lateral = np.array([0.0, config.stride_width, 0.0])
-    footholds = np.array([offset + lateral, offset - lateral])
+    footholds = np.array([_CONTACT_OFFSET + lateral, _CONTACT_OFFSET - lateral])
     pc_drs = footholds[np.searchsorted(switch, np.arange(n + 1), side="right") % 2]
     truth_pc = _rotate(R_true, pc_drs)
     vc_filt = _rotate(R_filt[1:] - R_filt[:-1], pc_drs[:n]) / dt
 
-    base = _BaseReference(config)
-    truth_rot = base.rotations(times[:, None])
-    truth_v = base.velocity(times[:, None])
+    truth_rot, truth_v, p0 = _base_reference(config, times[:, None])
     w, a = imu_from_trajectory(times, truth_rot, truth_v)
     # the model's position increment over a step, v dt + (R Gamma_2 a + g/2) dt^2,
     # with the rotation vector phi = w dt that integrate_mean forms
     gamma2 = so3_series(w * dt)[:, 2]
     dp = truth_v[:n] * dt + (_rotate(truth_rot[:n], _rotate(gamma2, a))
                              + 0.5 * GRAVITY) * (dt * dt)
-    truth_p = base.position(0.0) + np.concatenate([np.zeros((1, 3)),
-                                                   np.cumsum(dp, axis=0)])
+    truth_p = p0 + np.concatenate([np.zeros((1, 3)), np.cumsum(dp, axis=0)])
 
     step_noise = draw(np.arange(1, n + 1), 0, 9)
     imu_omega = w + bias[:3] + noise.sd_gyro * step_noise[:, :3]
@@ -348,7 +334,7 @@ def generate(config):
         "orient_rate": orient_rate,
         "step_period": config.step_period,
         "stride_width": config.stride_width,
-        "contact_offset": list(offset),
+        "contact_offset": _CONTACT_OFFSET.tolist(),
         "base_height": config.base_height,
         "seed": config.seed,
     }
@@ -493,9 +479,10 @@ def load_jsonl(path):
         return read_column(records[kind], kind, key, shape)
 
     dt = float(column("meta", "dt")[-1])
-    meta = records["meta"][-1]
-    del meta["dt"]
-    arrays = dict(dt=dt, bias=np.array(meta.pop("bias", [0.0] * 6)), meta=meta)
+    meta = {"bias": [0.0] * 6, **records["meta"][-1]}    # no bias: zeros
+    bias = read_column([meta], "meta", "bias", (6,))[0]
+    del meta["dt"], meta["bias"]
+    arrays = dict(dt=dt, bias=bias, meta=meta)
     for kind, (time, entries) in RECORDS.items():
         if time not in arrays:      # contact_vel times are checked below
             arrays[time] = column(kind, "t")

@@ -80,6 +80,12 @@ def test_custom_profile_from_csv(tmp_path):
     assert math.isclose(prof.angle(1.5), math.radians(4.0), abs_tol=1e-12)
 
 
+def test_make_profile_reads_a_csv_path(tmp_path):
+    path = tmp_path / "prof.csv"
+    path.write_text("0.0,0.0\n1.0,4.0\n2.0,4.0\n")
+    assert make_profile(f" {path} ") == profile_from_csv(path)
+
+
 def test_custom_profile_needs_two_rows():
     prof = PitchProfile(kind="custom", table_t=(0.0,), table_deg=(1.0,))
     with pytest.raises(ValueError):

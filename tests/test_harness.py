@@ -430,6 +430,19 @@ def test_cli_rejects_incomplete_dataset(tmp_path, capsys, command, kind,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("bias", ["x", None, [True], [1, 2]],
+                         ids=["string", "null", "bool", "short"])
+def test_cli_run_rejects_a_malformed_meta_bias(tmp_path, capsys, bias):
+    meta, *rest = _small_dataset_lines()
+    data = tmp_path / "scenario.jsonl"
+    data.write_text(json.dumps(dict(json.loads(meta), bias=bias)) + "\n"
+                    + "".join(rest))
+    assert main(["run", "--dataset", str(data),
+                 "--out", str(tmp_path / "runs")]) == 1
+    assert capsys.readouterr().err == \
+        "error: meta record has a malformed 'bias'\n"
+
+
 # a replaced field value: JSON values of a wrong type or shape, record kinds
 # and an integer beyond the float range
 _FUZZ_VALUES = st.one_of(

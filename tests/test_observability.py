@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg
 
 from drs_inekf.liegroup import so3_exp
-from drs_inekf.filter import E3
-from drs_inekf.observability import (ObservabilityReport, error_jacobian_nobias,
-                                     measurement_rows, numerical_rank,
+from drs_inekf.kinematics import E3
+from drs_inekf.observability import (RANK_RTOL, ObservabilityReport, _ranks,
+                                     error_jacobian_nobias, measurement_rows,
                                      observability_matrix, observability_report,
                                      tilt_sweep)
 
@@ -61,7 +61,7 @@ def test_position_difference_is_observable():
     # direction moving oppositely does not
     R = so3_exp(np.array([0.0, np.radians(5.0), 0.0]))
     O = observability_matrix(R)
-    ns = np.linalg.svd(O)[2][numerical_rank(O):].T
+    ns = np.linalg.svd(O)[2][np.linalg.matrix_rank(O, rtol=RANK_RTOL):].T
     together = np.zeros(12)
     together[6] = together[9] = 1.0
     together /= np.linalg.norm(together)
@@ -73,10 +73,13 @@ def test_position_difference_is_observable():
 
 
 def test_numerical_rank_edge_cases():
-    assert numerical_rank(np.zeros((3, 3))) == 0
-    assert numerical_rank(np.eye(4)) == 4
-    M = np.diag([1.0, 1e-3, 1e-12])
-    assert numerical_rank(M) == 2
+    # _ranks counts the singular values above RANK_RTOL times the largest,
+    # over the last axis; all zero gives rank 0
+    assert _ranks(np.zeros(3)) == 0
+    assert _ranks(np.ones(4)) == 4
+    assert _ranks(np.array([1.0, 1e-3, 1e-12])) == 2
+    stacked = np.array([[1.0, 1e-3, 1e-12], [0.0, 0.0, 0.0], [2.0, 1.0, 1.0]])
+    assert _ranks(stacked).tolist() == [2, 0, 3]
 
 
 def test_tilt_sweep_reports():
@@ -111,7 +114,8 @@ def test_phi_stack_spans_the_dt_free_rows(deg):
             stack = _phi_stack(R, dt, n_blocks)
             ranks = (np.linalg.matrix_rank(stack),
                      np.linalg.matrix_rank(np.vstack([stack, O])))
-            assert ranks == (numerical_rank(O),) * 2, (dt, n_blocks)
+            rank = np.linalg.matrix_rank(O, rtol=RANK_RTOL)
+            assert ranks == (rank,) * 2, (dt, n_blocks)
 
 
 def _reference_report(R_drs, dt, n_blocks):
@@ -173,7 +177,7 @@ _YAW = _unit(2)
 def test_null_space_is_the_symmetry(deg):
     O = observability_matrix(so3_exp(np.array([0.0, np.radians(deg), 0.0])))
     G = np.column_stack(_TRANSLATIONS + ([_YAW] if deg == 0.0 else []))
-    null_space = np.linalg.svd(O)[2][numerical_rank(O):].T
+    null_space = np.linalg.svd(O)[2][np.linalg.matrix_rank(O, rtol=RANK_RTOL):].T
     assert null_space.shape[1] == G.shape[1] == (4 if deg == 0.0 else 3)
     assert np.max(scipy.linalg.subspace_angles(null_space, G)) < 1e-8
     assert np.linalg.norm(O @ G) < 1e-12

@@ -47,7 +47,7 @@ def test_config_validation():
     for kw in ({"duration": math.nan}, {"duration": math.inf},
                {"imu_rate": math.nan}, {"meas_rate": math.nan},
                {"orient_rate": math.inf}, {"base_height": math.nan},
-               {"stride_width": -math.inf}, {"contact_offset": (0.3, math.nan, 0.0)},
+               {"stride_width": -math.inf},
                {"step_period": 0.0}, {"step_period": -0.8},
                {"step_period": math.nan}, {"seed": -1}):
         with pytest.raises(ValueError):

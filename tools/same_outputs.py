@@ -5,15 +5,22 @@
 
 For each seed, each checkout generates a dataset and runs its CLI on it:
 ``run --variant drs`` and ``run --variant srs`` (``RUNS`` runs, the seed as
-``--seed``), then ``eval`` on every written run file.  ``--seeds`` take the
-Case-A dataset of the ``rocking-mc`` workload, imported from the checkout's
-``perfbench/workloads.py``; ``--tm2-seeds`` take criterion 8's TM2/RM2
-dataset, and the same dataset with no surface-orientation stream
-(``orient_rate = 0``), whose ``drs_pose`` and ``contact_switch`` record kinds
-are empty.  Each checkout also runs ``obs`` once, over the workload's tilt
-range in steps of ``OBS_STEP_DEG``.  The units are the tool's own, not the
-workload's ``RockingMC._calls``: they also evaluate the SRS runs and run on
-the TM2/RM2 dataset, which no workload writes to files.
+``--seed``), then ``eval`` on every written run file.  ``--seeds`` take
+three datasets:
+
+- the Case-A dataset of the ``rocking-mc`` workload, imported from the
+  checkout's ``perfbench/workloads.py``;
+- criterion 7's: Case A with the filter told of TM3 at the same phase;
+- Case A on a three-row ``custom`` profile table, written by ``simulate``
+  from a config file that names the table's CSV file.
+
+``--tm2-seeds`` take criterion 8's TM2/RM2 dataset, and the same dataset
+with no surface-orientation stream (``orient_rate = 0``), whose ``drs_pose``
+and ``contact_switch`` record kinds are empty.  Each checkout also runs
+``obs`` once, over the workload's tilt range in steps of ``OBS_STEP_DEG``.
+The units are the tool's own, not the workload's ``RockingMC._calls``: they
+also evaluate the SRS runs and run on datasets that no workload writes to
+files.
 
 Every unit runs in-process in one interpreter per checkout and seed, with
 the checkout's root and ``src`` on the path.  The tool compares each unit's
@@ -38,22 +45,29 @@ OBS_STEP_DEG = 0.05
 
 # runs inside a checkout: argv[1] is a JSON job, the result goes to stdout
 _DRIVER = r"""
-import contextlib, io, json, pathlib, sys
+import contextlib, io, json, os, pathlib, sys
 from drs_inekf.drs import PitchProfile
 from drs_inekf.harness import main
 from drs_inekf.sim import ScenarioConfig, generate, save_jsonl
 from perfbench.workloads import CASE_A, OBS_MAX_TILT_DEG
 
-# the rocking-mc workload's Case A; criterion 8's scenario (test_acceptance),
-# also without its surface-orientation stream
+# the rocking-mc workload's Case A, and criterion 7's mismatch on it;
+# criterion 8's scenario (test_acceptance), also without its
+# surface-orientation stream
 TM2_RM2 = dict(profile=PitchProfile(kind="TM2"), robot_motion="RM2",
                duration=10.0, meas_rate=15.0)
-SCENARIOS = {"case-a": CASE_A, "tm2-rm2": TM2_RM2,
+SCENARIOS = {"case-a": CASE_A,
+             "case-a-tm3-filter": dict(CASE_A, filter_profile=PitchProfile(
+                 kind="TM3", phase_s=CASE_A["profile"].phase_s)),
+             "tm2-rm2": TM2_RM2,
              "tm2-rm2-no-orient": dict(TM2_RM2, orient_rate=0.0)}
+# Case A on a profile table, written by simulate from a config file
+TABLE_CSV = "0.0,-4.0\n3.0,6.0\n8.0,1.0\n"
 
 job = json.loads(sys.argv[1])
 out = pathlib.Path(job["out"])
 out.mkdir(parents=True)
+os.chdir(out)        # simulate prints its --out path, so that one is relative
 results = []
 
 
@@ -70,8 +84,16 @@ if job["scenario"] is None:
                  "--step-deg", str(job["step"])])
 else:
     data = str(out / "dataset.jsonl")
-    cfg = ScenarioConfig(seed=job["seed"], **SCENARIOS[job["scenario"]])
-    save_jsonl(generate(cfg), data)
+    if job["scenario"] == "custom-table":
+        (out / "table.csv").write_text(TABLE_CSV)
+        (out / "scenario.cfg").write_text("".join(
+            f"{key} = {value}\n" for key, value in
+            dict(CASE_A, profile="table.csv", seed=job["seed"]).items()))
+        call("simulate", ["simulate", "--config", "scenario.cfg",
+                          "--out", "dataset.jsonl"])
+    else:
+        cfg = ScenarioConfig(seed=job["seed"], **SCENARIOS[job["scenario"]])
+        save_jsonl(generate(cfg), data)
     for v in ("drs", "srs"):
         if call(f"run-{v}", ["run", "--dataset", data, "--variant", v,
                              "--runs", str(job["runs"]),
@@ -146,6 +168,8 @@ def main(argv=None):
     jobs = [("obs", dict(scenario=None, step=OBS_STEP_DEG))]
     jobs += [(f"{name}-{s}", dict(scenario=name, seed=s, runs=RUNS))
              for name, seeds in (("case-a", args.seeds),
+                                 ("case-a-tm3-filter", args.seeds),
+                                 ("custom-table", args.seeds),
                                  ("tm2-rm2", args.tm2_seeds),
                                  ("tm2-rm2-no-orient", args.tm2_seeds))
              for s in seeds]
