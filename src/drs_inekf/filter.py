@@ -331,8 +331,10 @@ def update(state, observations):
     if L is None:
         return state
     dx = L.dot(z)
-    rot_step = math.hypot(*dx[:3].tolist())
-    n_steps = min(MAX_SUBSTEPS, max(1, math.ceil(rot_step / MAX_SUBSTEP_ROT)))
+    rot_steps = math.hypot(*dx[:3].tolist()) / MAX_SUBSTEP_ROT
+    if not rot_steps < math.inf:        # else math.ceil raises
+        raise FloatingPointError("the correction's rotation overflows")
+    n_steps = min(MAX_SUBSTEPS, max(1, math.ceil(rot_steps)))
 
     Nsub = Nbar * n_steps if n_steps > 1 else Nbar
     X, theta, P = state.X, state.theta, state.P
@@ -377,16 +379,19 @@ def run_variant(state, dataset, variant, model, noise):
 
     trajectory = []
     for (js, jm, jo), terms in zip(schedule.tolist(), steps):
-        state = propagate(state, terms, noise, variant)
-        if js >= 0:
-            state = jump_propagate(state, dataset.switch_q[js], model, noise)
-        if jm >= 0:
-            obs = [position_observation(dataset.enc_q[jm], model, noise,
-                                        state.X.rot)]
-            if variant is FilterVariant.DRS and jo >= 0:
-                obs.insert(0, orientation_observation(
-                    dataset.enc_q[jm], dataset.drs_rot[jo], model, noise,
-                    state.X.rot))
-            state = update(state, obs)
-            trajectory.append(state)
+        try:
+            state = propagate(state, terms, noise, variant)
+            if js >= 0:
+                state = jump_propagate(state, dataset.switch_q[js], model, noise)
+            if jm >= 0:
+                obs = [position_observation(dataset.enc_q[jm], model, noise,
+                                            state.X.rot)]
+                if variant is FilterVariant.DRS and jo >= 0:
+                    obs.insert(0, orientation_observation(
+                        dataset.enc_q[jm], dataset.drs_rot[jo], model, noise,
+                        state.X.rot))
+                state = update(state, obs)
+                trajectory.append(state)
+        except FloatingPointError as exc:   # name the time of the last state
+            raise FloatingPointError(f"at t={state.t:.4f} s: {exc}") from None
     return trajectory

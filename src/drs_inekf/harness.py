@@ -36,6 +36,7 @@ DEFAULT_THRESHOLDS = {
 POST_WINDOW_START = 5.0
 # a covariance eigenvalue below -PSD_TOL times the largest one is not rounding
 PSD_TOL = 1e-9
+MAX_TILTS = 10**6   # the most tilts that `obs` sweeps
 _CHUNK = 64     # states that `run` stacks at a time to check and to write
 # the fields of a trajectory record, in the order written
 TRAJECTORY_KEYS = ("t", "quat", "v", "p", "p_c", "b_omega", "b_acc", "p_diag")
@@ -120,10 +121,9 @@ def make_report(times, error_stack):
     rms_full, rms_post, conv = {}, {}, {}
     for j, name in enumerate(ERROR_VARS):
         col = error_stack[:, :, j]
-        with np.errstate(over="ignore"):
-            rms_full[name] = float(np.sqrt(np.mean(col**2)))
-            rms_post[name] = (float(np.sqrt(np.mean(col[:, post]**2)))
-                              if post.any() else None)
+        rms_full[name] = float(np.sqrt(np.mean(col**2)))
+        rms_post[name] = (float(np.sqrt(np.mean(col[:, post]**2)))
+                          if post.any() else None)
         if not math.isfinite(rms_full[name]):   # then so is rms_post
             raise FloatingPointError(f"the RMS error of {name} is not finite")
         worst = np.max(np.abs(col), axis=0)
@@ -235,30 +235,23 @@ def parse_scenario_config(path):
 # subcommands
 
 def cli_simulate(args):
+    config = parse_scenario_config(args.config)
+    # open --out first, so that a path that cannot be written fails before
+    # generating, but to append: a failed run leaves an existing file whole,
+    # and removes a file that it created
     try:
-        config = parse_scenario_config(args.config)
-        # open --out first, so that a path that cannot be written fails before
-        # generating, but to append: a failed run leaves an existing file
-        # whole, and removes a file that it created
+        fh, created = open(args.out, "x"), True
+    except FileExistsError:
+        fh, created = open(args.out, "a"), False
+    with fh:
         try:
-            fh, created = open(args.out, "x"), True
-        except FileExistsError:
-            fh, created = open(args.out, "a"), False
-        with fh:
-            try:
-                # generate reports a non-finite dataset, so an overflow on the
-                # way there is no warning
-                with np.errstate(all="ignore"):
-                    dataset = generate(config)
-                fh.truncate(0)
-                write_jsonl(dataset, fh)
-            except BaseException:
-                if created:
-                    pathlib.Path(args.out).unlink()
-                raise
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            dataset = generate(config)
+            fh.truncate(0)
+            write_jsonl(dataset, fh)
+        except BaseException:
+            if created:
+                pathlib.Path(args.out).unlink()
+            raise
     # hypot squares nothing, so a finite |v_c| near the float limit stays finite
     x, y, z = dataset.contact_v.T
     max_vc = float(np.max(np.hypot(np.hypot(x, y), z)))
@@ -274,25 +267,17 @@ def cli_run(args):
     are alive at a time, and the report keeps each run's error table."""
     outdir = pathlib.Path(args.out)
     error_rows = []
-    try:
-        dataset = load_jsonl(args.dataset)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for traj in monte_carlo(dataset, FilterVariant(args.variant),
-                                NoiseConfig(), args.runs, args.seed):
-            i = len(error_rows)
-            if fault := _run_fault(traj):
-                print(f"error: run {i} produced {fault}", file=sys.stderr)
-                return 2
-            save_trajectory(traj, outdir / f"run_{i:02d}.jsonl")
-            times, errs = trajectory_errors(dataset, traj)
-            error_rows.append(errs)
-            del traj    # else the loop target keeps run i alive during run i+1
-    except np.linalg.LinAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dataset = load_jsonl(args.dataset)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for traj in monte_carlo(dataset, FilterVariant(args.variant),
+                            NoiseConfig(), args.runs, args.seed):
+        i = len(error_rows)
+        if fault := _run_fault(traj):
+            raise FloatingPointError(f"run {i} produced {fault}")
+        save_trajectory(traj, outdir / f"run_{i:02d}.jsonl")
+        times, errs = trajectory_errors(dataset, traj)
+        error_rows.append(errs)
+        del traj    # else the loop target keeps run i alive during run i+1
     error_stack = np.array(error_rows)
     report = make_report(times, error_stack)
     with open(outdir / "envelope.csv", "w", newline="") as fh:
@@ -313,30 +298,24 @@ def cli_run(args):
 
 
 def cli_eval(args):
-    try:
-        dataset = load_jsonl(args.truth)
-        ts, rots, vs = load_trajectory_arrays(args.estimate)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    dataset = load_jsonl(args.truth)
+    ts, rots, vs = load_trajectory_arrays(args.estimate)
     if not (ts.size and ts.min() >= dataset.truth_t[0] - dataset.time_tol
             and ts.max() <= dataset.truth_t[-1] + dataset.time_tol):
-        print("error: estimate epochs lie outside the truth window",
-              file=sys.stderr)
-        return 1
+        raise ValueError("estimate epochs lie outside the truth window")
     errors = epoch_errors(dataset, ts, rots, vs)
     _write_json(make_report(ts, errors[None, :, :]).to_dict(), args.out)
     return 0
 
 
 def cli_obs(args):
-    try:
-        tilts = np.radians(np.arange(0.0, args.max_tilt_deg + 1e-9, args.step_deg))
-        reports = tilt_sweep(tilts)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_json({"tilt_sweep": [r.to_dict() for r in reports]}, args.out)
+    # np.arange makes ceil(this quotient) tilts
+    if (args.max_tilt_deg + 1e-9) / args.step_deg > MAX_TILTS:
+        raise ValueError(f"--max-tilt-deg {args.max_tilt_deg:g} in steps of "
+                         f"{args.step_deg:g} is more than {MAX_TILTS:,} tilts")
+    tilts = np.radians(np.arange(0.0, args.max_tilt_deg + 1e-9, args.step_deg))
+    _write_json({"tilt_sweep": [r.to_dict() for r in tilt_sweep(tilts)]},
+                args.out)
     return 0
 
 
@@ -408,16 +387,21 @@ def build_parser():
     return parser
 
 
+# the failures that exit 2, tested first: a LinAlgError is also a ValueError
+_NUMERICAL_FAILURES = (FloatingPointError, np.linalg.LinAlgError)
+
+
 def main(argv=None):
+    """Run one subcommand; the one map from its failures to exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OSError as exc:      # a file that cannot be read or written
+        # non-finite results are checked where made (_run_fault, make_report,
+        # generate): a numpy warning would only precede that check's error
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (*_NUMERICAL_FAILURES, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FloatingPointError as exc:   # an RMS error that overflows
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, _NUMERICAL_FAILURES) else 1
 
 
 if __name__ == "__main__":

@@ -142,6 +142,9 @@ def so3_series(phi):
         return _stacked_series(phi)
     x, y, z = phi.tolist()
     t = x * x + y * y + z * z
+    if t == math.inf:       # else math.sin raises a ValueError
+        raise FloatingPointError(f"a rotation of {math.hypot(x, y, z):.3g} rad "
+                                 "overflows |phi|^2")
     c1, c2, c3 = (_gamma_series(t) if t < _SERIES_ANGLE_SQ
                   else _gamma_closed(t, math.sqrt(t), math.sin))
     return np.array(_k_polynomials(x, y, z, [(1.0, 1.0 - t * c2, c1), (1.0, c1, c2),

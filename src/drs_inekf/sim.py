@@ -42,6 +42,7 @@ from .state import NoiseConfig
 
 _TWO_PI = 2.0 * math.pi
 _CONTACT_OFFSET = np.array([0.3, 0.0, 0.0])     # nominal foothold, surface frame (m)
+MAX_IMU_STEPS = 10**6       # generate peaks near 1 KB per IMU step
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,9 @@ class ScenarioConfig:
         for name in ("duration", "imu_rate", "meas_rate", "step_period"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.duration * self.imu_rate > MAX_IMU_STEPS:
+            raise ValueError(f"duration {self.duration:g} s at {self.imu_rate:g} Hz "
+                             f"is more than {MAX_IMU_STEPS:,} IMU steps")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.meas_rate > self.imu_rate:
@@ -223,11 +227,7 @@ def generate(config):
     noise = config.noise
     leg = VirtualLeg()
     dt = 1.0 / config.imu_rate
-    steps = config.duration * config.imu_rate
-    if not math.isfinite(steps):
-        raise ValueError(f"duration {config.duration:g} s at {config.imu_rate:g} "
-                         "Hz overflows the IMU step count")
-    n = int(round(steps))
+    n = int(round(config.duration * config.imu_rate))
     if n == 0:
         raise ValueError(f"duration {config.duration:g} s rounds to zero IMU steps")
     times = np.arange(n + 1) * dt

@@ -371,10 +371,89 @@ def test_cli_run_maps_diverging_filter_to_exit_2(tmp_path, capsys):
     ds.imu_acc[:] = 1e200
     data = tmp_path / "scenario.jsonl"
     save_jsonl(ds, data)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", "--dataset", str(data),
                      "--out", str(tmp_path / "runs")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, index, value, message", [
+    ("enc_q", (30, 0), 1e300,
+     r"at t=0\.3100 s: a rotation of \S+ rad overflows \|phi\|\^2"),
+    ("imu_acc", (1, 0), 1e300,
+     r"at t=0\.0100 s: a rotation of \S+ rad overflows \|phi\|\^2"),
+    ("imu_omega", (300, 0), 1e300,
+     r"at t=1\.5000 s: a rotation of 5e\+297 rad overflows \|phi\|\^2"),
+    ("enc_q", (1, 0), -1e308,
+     r"at t=0\.0200 s: the correction's rotation overflows")],
+    ids=["enc_q", "imu_acc", "imu_omega", "enc_q-substeps"])
+def test_cli_run_maps_an_overflowing_step_to_exit_2(tmp_path, capsys, field,
+                                                    index, value, message):
+    # one extreme but finite record of Case A overflows a filter step: a
+    # numerical failure at the step's time, not "math domain error" and
+    # exit 1 (the rotation series) or an OverflowError traceback (the
+    # sub-step count of the update)
+    ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM1", phase_s=2.8),
+                                 robot_motion="RM1", duration=8.0,
+                                 meas_rate=100.0, orient_rate=15.0, seed=1))
+    getattr(ds, field)[index] = value
+    data = tmp_path / "scenario.jsonl"
+    save_jsonl(ds, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--dataset", str(data),
+                     "--out", str(tmp_path / "runs")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, callee", [
+    ("simulate", "generate"), ("run", "load_jsonl"), ("eval", "load_jsonl"),
+    ("obs", "tilt_sweep")])
+@pytest.mark.parametrize("failure, code", [
+    (ValueError, 1), (OSError, 1), (FloatingPointError, 2),
+    (np.linalg.LinAlgError, 2)])
+def test_main_maps_each_failure_to_one_exit_code(tmp_path, capsys, monkeypatch,
+                                                 command, callee, failure, code):
+    # main is the one map: a bad input or file exits 1 and a numerical
+    # failure 2 (LinAlgError too, though it is a ValueError), whichever
+    # subcommand raises it, with one error line
+    def fail(*args):
+        raise failure("planted failure")
+
+    monkeypatch.setattr(harness, callee, fail)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("profile = TM2\nduration = 1.0\n")
+    path = str(tmp_path / "x.jsonl")
+    argv = {"simulate": ["simulate", "--config", str(cfg), "--out", path],
+            "run": ["run", "--dataset", path, "--out", str(tmp_path / "runs")],
+            "eval": ["eval", "--truth", path, "--estimate", path],
+            "obs": ["obs"]}[command]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", "error: planted failure\n")
+    assert not list(tmp_path.glob("*.jsonl"))
+
+
+def test_cli_obs_rejects_more_than_a_million_tilts(tmp_path, capsys,
+                                                   monkeypatch):
+    # checked before np.arange allocates the tilts, so a huge count is never
+    # allocated: 10**6 tilts reach the sweep, one more does not
+    swept = []
+    monkeypatch.setattr(harness, "tilt_sweep",
+                        lambda tilts: swept.append(tilts.size) or [])
+    assert main(["obs", "--max-tilt-deg", "999999", "--step-deg", "1"]) == 0
+    assert swept == [10**6]
+    capsys.readouterr()
+    monkeypatch.setattr(harness, "tilt_sweep", None)    # not reached
+    for max_tilt, step in (("1000000", "1"), ("1e5", "1e-3"), ("0", "5e-324")):
+        assert main(["obs", "--max-tilt-deg", max_tilt,
+                     "--step-deg", step]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --max-tilt-deg ") and \
+            err.endswith(" is more than 1,000,000 tilts\n")
 
 
 @pytest.mark.parametrize("command, kind, cut, message", [

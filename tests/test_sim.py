@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from drs_inekf.drs import PitchProfile, drs_pose_at
 from drs_inekf.liegroup import rot_to_quat, so3_exp, so3_log
-from drs_inekf.sim import (RECORDS, ScenarioConfig, ScenarioDataset, generate,
-                           imu_from_trajectory, initial_error_draw, load_jsonl,
-                           save_jsonl, write_jsonl)
+from drs_inekf.sim import (MAX_IMU_STEPS, RECORDS, ScenarioConfig,
+                           ScenarioDataset, generate, imu_from_trajectory,
+                           initial_error_draw, load_jsonl, save_jsonl,
+                           write_jsonl)
 from drs_inekf.state import NoiseConfig
 from drs_inekf.filter import GRAVITY, integrate_mean
 from drs_inekf.liegroup import GroupElement
@@ -52,6 +53,15 @@ def test_config_validation():
                {"step_period": math.nan}, {"seed": -1}):
         with pytest.raises(ValueError):
             small_config(**kw)
+
+
+def test_config_bounds_the_imu_step_count():
+    # checked before generate allocates a sample: at most MAX_IMU_STEPS, and a
+    # step count that overflows is above the bound too
+    assert small_config(duration=MAX_IMU_STEPS / 200.0).imu_rate == 200.0
+    for duration, imu_rate in ((5000.01, 200.0), (1e300, 1e300)):
+        with pytest.raises(ValueError, match="more than 1,000,000 IMU steps"):
+            small_config(duration=duration, imu_rate=imu_rate)
 
 
 def test_generation_is_deterministic():

@@ -17,7 +17,10 @@ three datasets:
 ``--tm2-seeds`` take criterion 8's TM2/RM2 dataset, and the same dataset
 with no surface-orientation stream (``orient_rate = 0``), whose ``drs_pose``
 and ``contact_switch`` record kinds are empty.  Each checkout also runs
-``obs`` once, over the workload's tilt range in steps of ``OBS_STEP_DEG``.
+``obs`` once, over the workload's tilt range in steps of ``OBS_STEP_DEG``,
+and three units that fail: ``simulate`` of ``profile = TM9``, ``run`` on the
+Case-A dataset (seed 1) with every encoder time shifted by 0.002 s, and
+``eval`` of an estimate outside that dataset's truth window.
 The units are the tool's own, not the workload's ``RockingMC._calls``: they
 also evaluate the SRS runs and run on datasets that no workload writes to
 files.
@@ -82,6 +85,20 @@ def call(name, argv):
 if job["scenario"] is None:
     call("obs", ["obs", "--max-tilt-deg", str(OBS_MAX_TILT_DEG),
                  "--step-deg", str(job["step"])])
+elif job["scenario"] == "failures":     # paths relative, so the errors match
+    pathlib.Path("tm9.cfg").write_text("profile = TM9\n")
+    call("simulate-tm9", ["simulate", "--config", "tm9.cfg",
+                          "--out", "tm9.jsonl"])
+    ds = generate(ScenarioConfig(seed=job["seed"], **CASE_A))
+    save_jsonl(ds, "dataset.jsonl")
+    ds.meas_t += 0.002
+    save_jsonl(ds, "shifted.jsonl")
+    call("run-shifted-encoder", ["run", "--dataset", "shifted.jsonl",
+                                 "--out", "runs"])
+    pathlib.Path("late.jsonl").write_text(json.dumps(
+        {"t": CASE_A["duration"] + 1.0, "quat": [1, 0, 0, 0], "v": [0, 0, 0]}) + "\n")
+    call("eval-late-estimate", ["eval", "--truth", "dataset.jsonl",
+                                "--estimate", "late.jsonl"])
 else:
     data = str(out / "dataset.jsonl")
     if job["scenario"] == "custom-table":
@@ -165,7 +182,8 @@ def main(argv=None):
                     "temporary directory, removed afterwards)")
     args = ap.parse_args(argv)
 
-    jobs = [("obs", dict(scenario=None, step=OBS_STEP_DEG))]
+    jobs = [("obs", dict(scenario=None, step=OBS_STEP_DEG)),
+            ("failures", dict(scenario="failures", seed=1))]
     jobs += [(f"{name}-{s}", dict(scenario=name, seed=s, runs=RUNS))
              for name, seeds in (("case-a", args.seeds),
                                  ("case-a-tm3-filter", args.seeds),
