@@ -392,6 +392,7 @@ def run_variant(state, dataset, variant, model, noise):
                         state.X.rot))
                 state = update(state, obs)
                 trajectory.append(state)
-        except FloatingPointError as exc:   # name the time of the last state
-            raise FloatingPointError(f"at t={state.t:.4f} s: {exc}") from None
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            # name the time of the last state
+            raise type(exc)(f"at t={state.t:.4f} s: {exc}") from None
     return trajectory

@@ -9,7 +9,6 @@ execution), ``eval`` (RMS error report for one trajectory), ``obs``
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import pathlib
@@ -280,19 +279,14 @@ def cli_run(args):
         del traj    # else the loop target keeps run i alive during run i+1
     error_stack = np.array(error_rows)
     report = make_report(times, error_stack)
+    # per epoch, the min and max over runs of each error, in ERROR_VARS order
+    envelope = np.stack([error_stack.min(axis=0), error_stack.max(axis=0)], axis=2)
     with open(outdir / "envelope.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"]
-        for name in ERROR_VARS:
-            header += [f"{name}_min", f"{name}_max"]
-        writer.writerow(header)
-        lo = error_stack.min(axis=0)
-        hi = error_stack.max(axis=0)
-        for i, t in enumerate(times):
-            row = [f"{t:.6f}"]
-            for j in range(6):
-                row += [f"{lo[i, j]:.9g}", f"{hi[i, j]:.9g}"]
-            writer.writerow(row)
+        np.savetxt(fh, np.column_stack([times, envelope.reshape(times.size, -1)]),
+                   fmt=["%.6f"] + ["%.9g"] * 2 * len(ERROR_VARS), delimiter=",",
+                   newline="\r\n", comments="", header=",".join(
+                       ["t", *(f"{name}_{end}" for name in ERROR_VARS
+                               for end in ("min", "max"))]))
     _write_json(report.to_dict(), outdir / "report.json")
     return 0
 
@@ -303,6 +297,10 @@ def cli_eval(args):
     if not (ts.size and ts.min() >= dataset.truth_t[0] - dataset.time_tol
             and ts.max() <= dataset.truth_t[-1] + dataset.time_tol):
         raise ValueError("estimate epochs lie outside the truth window")
+    # the report's duration and convergence times read the epochs in order
+    if (late := np.flatnonzero(np.diff(ts) <= 0.0)).size:
+        raise ValueError(f"estimate epoch {late[0] + 2} (t={ts[late[0] + 1]:.6g} s)"
+                         " is not after the one before it")
     errors = epoch_errors(dataset, ts, rots, vs)
     _write_json(make_report(ts, errors[None, :, :]).to_dict(), args.out)
     return 0

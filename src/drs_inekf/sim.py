@@ -214,6 +214,38 @@ def _rotate(R, x):
     return np.einsum("kij,kj->ki", R, x)
 
 
+def _event_steps(config, n, dt):
+    """Sorted measurement, surface-orientation and contact-switch steps in
+    1..n (README, numerical notes)."""
+    # nondecreasing from 1, so a positive difference marks each new step
+    meas = np.round(np.arange(1, int(config.duration * config.meas_rate) + 1)
+                    / config.meas_rate / dt).astype(int)
+    meas = meas[(np.diff(meas, prepend=0) > 0) & (meas <= n)]
+    if not meas.size:
+        raise ValueError("no measurement step falls within the duration")
+    orient_rate = config.meas_rate if config.orient_rate is None else config.orient_rate
+    # the nearest step, and on a tie the earlier; none at a rate of 0
+    orient = meas[np.searchsorted((meas[:-1] + meas[1:]) / 2.0, np.round(
+        np.arange(1, int(config.duration * orient_rate) + 1) / orient_rate / dt))]
+    orient = orient[np.diff(orient, prepend=0) > 0]
+    if config.robot_motion != "RM1":
+        return meas, orient, np.zeros(0, dtype=int)
+    # floats cannot wrap; a first step of 1 or more puts the 2n-th at n or more
+    nominal = np.round(np.arange(1, 2 * n + 1) * config.step_period / dt)
+    if nominal[0] == 0:
+        raise ValueError(f"step_period {config.step_period:g} s rounds "
+                         "to zero IMU steps")
+    free = np.setdiff1d(np.arange(1, n + 1), meas, assume_unique=True)
+    # k_i = max(k_i, k_(i-1) + 1) over indices into free: k - i is a running max
+    i = np.arange(np.count_nonzero(nominal < n))
+    k = np.maximum.accumulate(np.searchsorted(free, nominal[i]) - i) + i
+    if (j := np.searchsorted(k, free.size) + 1) <= k.size:   # k increases
+        raise ValueError(f"contact switch {j} (t = {j * config.step_period:.6g}"
+                         " s) finds no free IMU step: every later step "
+                         "holds a measurement or another switch")
+    return meas, orient, free[k]
+
+
 def generate(config):
     """Produce a ScenarioDataset for the given configuration.
 
@@ -231,41 +263,7 @@ def generate(config):
     if n == 0:
         raise ValueError(f"duration {config.duration:g} s rounds to zero IMU steps")
     times = np.arange(n + 1) * dt
-
-    # measurement schedule, snapped to the IMU grid
-    meas = np.unique(np.round(np.arange(1, int(config.duration * config.meas_rate) + 1)
-                              / config.meas_rate / dt).astype(int))
-    meas = meas[(meas > 0) & (meas <= n)]
-    if not meas.size:
-        raise ValueError("no measurement step falls within the duration")
-    # surface-orientation schedule: nearest measurement step to each nominal time
-    orient_rate = config.meas_rate if config.orient_rate is None else config.orient_rate
-    orient = set()
-    if orient_rate > 0.0:
-        for j in range(1, int(config.duration * orient_rate) + 1):
-            target = int(round(j / orient_rate / dt))
-            orient.add(int(meas[np.argmin(np.abs(meas - target))]))
-    orient = np.array(sorted(orient), dtype=int)
-    # contact switches on the grid, each shifted past the one before and off
-    # any measurement step, and so still on the grid
-    meas_set, switch = set(meas.tolist()), []
-    if config.robot_motion == "RM1":
-        i = 1
-        while (s := int(round(i * config.step_period / dt))) < n:
-            if s == 0:
-                raise ValueError(f"step_period {config.step_period:g} s rounds "
-                                 "to zero IMU steps")
-            if switch:
-                s = max(s, switch[-1] + 1)
-            while s in meas_set:
-                s += 1
-            if s > n:
-                raise ValueError(f"contact switch {i} (t = {i * config.step_period:.6g}"
-                                 " s) finds no free IMU step: every later step "
-                                 "holds a measurement or another switch")
-            switch.append(s)
-            i += 1
-    switch = np.array(switch, dtype=int)
+    meas, orient, switch = _event_steps(config, n, dt)
 
     # all noise in one draw, sliced in the order of a step-by-step draw: the
     # biases, then per step gyro, accel and contact velocity (9), the encoders
@@ -331,7 +329,8 @@ def generate(config):
         "duration": config.duration,
         "imu_rate": config.imu_rate,
         "meas_rate": config.meas_rate,
-        "orient_rate": orient_rate,
+        "orient_rate": (config.meas_rate if config.orient_rate is None
+                        else config.orient_rate),
         "step_period": config.step_period,
         "stride_width": config.stride_width,
         "contact_offset": _CONTACT_OFFSET.tolist(),

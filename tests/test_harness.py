@@ -388,14 +388,17 @@ def test_cli_run_maps_diverging_filter_to_exit_2(tmp_path, capsys):
     ("imu_omega", (300, 0), 1e300,
      r"at t=1\.5000 s: a rotation of 5e\+297 rad overflows \|phi\|\^2"),
     ("enc_q", (1, 0), -1e308,
-     r"at t=0\.0200 s: the correction's rotation overflows")],
-    ids=["enc_q", "imu_acc", "imu_omega", "enc_q-substeps"])
+     r"at t=0\.0200 s: the correction's rotation overflows"),
+    ("switch_q", (0, 0), 1e8,
+     r"at t=1\.1500 s: Eigenvalues did not converge")],
+    ids=["enc_q", "imu_acc", "imu_omega", "enc_q-substeps", "switch_q-eigh"])
 def test_cli_run_maps_an_overflowing_step_to_exit_2(tmp_path, capsys, field,
                                                     index, value, message):
     # one extreme but finite record of Case A overflows a filter step: a
     # numerical failure at the step's time, not "math domain error" and
     # exit 1 (the rotation series) or an OverflowError traceback (the
-    # sub-step count of the update)
+    # sub-step count of the update); a LinAlgError from the update's eigh
+    # names the time too
     ds = generate(ScenarioConfig(profile=PitchProfile(kind="TM1", phase_s=2.8),
                                  robot_motion="RM1", duration=8.0,
                                  meas_rate=100.0, orient_rate=15.0, seed=1))
@@ -651,6 +654,32 @@ def test_cli_eval_rejects_disjoint_time_ranges(tmp_path, capsys):
         capsys.readouterr()
         assert main(["eval", "--truth", str(data), "--estimate", str(est)]) == 1
         assert capsys.readouterr().err == message
+
+
+def test_cli_eval_rejects_epochs_out_of_order(tmp_path, capsys):
+    # the report reads the epochs in file order: a reversed run file used to
+    # report the first epoch's time as the duration and convergence times
+    # of the reversed series, and repeated epochs also exited 0
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("profile = TM2\nrobot_motion = RM2\nduration = 2.0\n"
+                   "meas_rate = 10\nseed = 1\n")
+    data = tmp_path / "scenario.jsonl"
+    main(["simulate", "--config", str(cfg), "--out", str(data)])
+    main(["run", "--dataset", str(data), "--out", str(tmp_path / "runs")])
+    lines = (tmp_path / "runs" / "run_00.jsonl").read_text().splitlines(True)
+    est = tmp_path / "est.jsonl"
+    for epochs, message in (
+            (lines[::-1], "estimate epoch 2 (t=1.9 s) is not after the one before it"),
+            (lines[:1] * 20, "estimate epoch 2 (t=0.1 s) is not after the one before it"),
+            (lines[:5] + [lines[6], lines[5]] + lines[7:],
+             "estimate epoch 7 (t=0.6 s) is not after the one before it")):
+        est.write_text("".join(epochs))
+        capsys.readouterr()
+        assert main(["eval", "--truth", str(data), "--estimate", str(est)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    est.write_text("".join(lines))
+    assert main(["eval", "--truth", str(data), "--estimate", str(est)]) == 0
+    assert json.loads(capsys.readouterr().out)["duration_s"] == 2.0
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])

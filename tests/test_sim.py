@@ -3,18 +3,19 @@
 import io
 import json
 import math
+import time
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drs_inekf.drs import PitchProfile, drs_pose_at
 from drs_inekf.liegroup import rot_to_quat, so3_exp, so3_log
 from drs_inekf.sim import (MAX_IMU_STEPS, RECORDS, ScenarioConfig,
-                           ScenarioDataset, generate, imu_from_trajectory,
-                           initial_error_draw, load_jsonl, save_jsonl,
-                           write_jsonl)
+                           ScenarioDataset, _event_steps, generate,
+                           imu_from_trajectory, initial_error_draw, load_jsonl,
+                           save_jsonl, write_jsonl)
 from drs_inekf.state import NoiseConfig
 from drs_inekf.filter import GRAVITY, integrate_mean
 from drs_inekf.liegroup import GroupElement
@@ -116,6 +117,137 @@ def test_orientation_stream_is_subset_of_measurements():
     assert set(ds.drs_t).issubset(set(ds.meas_t))
     # roughly the requested rate
     assert abs(ds.drs_t.size - 4.0 * 5.0) <= 1
+
+
+def _reference_event_steps(config, n, dt):
+    """The event schedule of generate as it was placed by loops, verbatim."""
+    # measurement schedule, snapped to the IMU grid
+    meas = np.unique(np.round(np.arange(1, int(config.duration * config.meas_rate) + 1)
+                              / config.meas_rate / dt).astype(int))
+    meas = meas[(meas > 0) & (meas <= n)]
+    if not meas.size:
+        raise ValueError("no measurement step falls within the duration")
+    # surface-orientation schedule: nearest measurement step to each nominal time
+    orient_rate = config.meas_rate if config.orient_rate is None else config.orient_rate
+    orient = set()
+    if orient_rate > 0.0:
+        for j in range(1, int(config.duration * orient_rate) + 1):
+            target = int(round(j / orient_rate / dt))
+            orient.add(int(meas[np.argmin(np.abs(meas - target))]))
+    orient = np.array(sorted(orient), dtype=int)
+    # contact switches on the grid, each shifted past the one before and off
+    # any measurement step, and so still on the grid
+    meas_set, switch = set(meas.tolist()), []
+    if config.robot_motion == "RM1":
+        i = 1
+        while (s := int(round(i * config.step_period / dt))) < n:
+            if s == 0:
+                raise ValueError(f"step_period {config.step_period:g} s rounds "
+                                 "to zero IMU steps")
+            if switch:
+                s = max(s, switch[-1] + 1)
+            while s in meas_set:
+                s += 1
+            if s > n:
+                raise ValueError(f"contact switch {i} (t = {i * config.step_period:.6g}"
+                                 " s) finds no free IMU step: every later step "
+                                 "holds a measurement or another switch")
+            switch.append(s)
+            i += 1
+    switch = np.array(switch, dtype=int)
+    return meas, orient, switch
+
+
+@settings(max_examples=400, deadline=None)
+@given(robot_motion=st.sampled_from(["RM1", "RM2"]),
+       imu_rate=st.one_of(st.sampled_from([50.0, 100.0, 200.0, 333.0]),
+                          st.floats(1.0, 1000.0)),
+       steps=st.floats(0.2, 400.0),
+       meas_frac=st.one_of(st.just(1.0), st.sampled_from([0.5, 0.6, 0.625, 0.75]),
+                           st.floats(0.01, 1.0)),
+       orient=st.one_of(st.none(), st.just(0.0), st.sampled_from([0.25, 0.4, 0.5]),
+                        st.floats(0.0, 1.0)),
+       period_steps=st.one_of(st.floats(0.05, 0.6), st.floats(0.6, 3.0),
+                              st.sampled_from([1.0, 1.5, 2.0, 2.5, 2.8]),
+                              st.floats(3.0, 100.0)))
+# the stress schedule, measurements on every step (no free step for a
+# switch), a period that rounds to zero steps and one that cascades
+@example(robot_motion="RM1", imu_rate=200.0, steps=400.0, meas_frac=0.625,
+         orient=0.4, period_steps=2.8)
+@example(robot_motion="RM1", imu_rate=200.0, steps=100.0, meas_frac=1.0,
+         orient=None, period_steps=10.0)
+@example(robot_motion="RM1", imu_rate=200.0, steps=100.0, meas_frac=0.5,
+         orient=0.0, period_steps=0.4)
+@example(robot_motion="RM1", imu_rate=200.0, steps=200.0, meas_frac=0.5,
+         orient=0.8, period_steps=1.4)
+def test_event_steps_match_the_loops(robot_motion, imu_rate, steps, meas_frac,
+                                     orient, period_steps):
+    # the stacked schedule gives the loops' steps, or raises their error
+    meas_rate = imu_rate * meas_frac
+    config = ScenarioConfig(
+        robot_motion=robot_motion, duration=steps / imu_rate, imu_rate=imu_rate,
+        meas_rate=meas_rate,
+        orient_rate=None if orient is None else orient * meas_rate,
+        step_period=period_steps / imu_rate)
+    dt = 1.0 / imu_rate
+    n = int(round(config.duration * imu_rate))
+    if n == 0:
+        return
+
+    def outcome(schedule):
+        try:
+            return schedule(config, n, dt)
+        except ValueError as exc:
+            return str(exc)
+
+    got, want = outcome(_event_steps), outcome(_reference_event_steps)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for g, w in zip(got, want):
+            assert g.dtype.kind == "i" and np.array_equal(g, w)
+
+
+def test_stress_schedule_moves_pushes_and_ties():
+    # 125 Hz measurements on 200 Hz steps leave every third or fourth step
+    # free, and 50 Hz orientation samples fall on midpoints: some switches
+    # move off a measurement, some past the switch before, and some
+    # orientation samples tie (the schedule-stress scenario of
+    # tools/same_outputs.py)
+    config = ScenarioConfig(robot_motion="RM1", duration=2.0, imu_rate=200.0,
+                            meas_rate=125.0, orient_rate=50.0, step_period=0.014)
+    dt = 1.0 / config.imu_rate
+    n = int(round(config.duration * config.imu_rate))
+    meas, orient, switch = _event_steps(config, n, dt)
+    nominal = np.round(np.arange(1, switch.size + 1) * config.step_period / dt)
+    earliest = np.maximum(nominal, np.append(0, switch[:-1] + 1))
+    assert np.isin(earliest, meas).any()             # moved off a measurement
+    assert (nominal <= np.append(0, switch[:-1])).any()  # pushed past the last
+    target = np.round(np.arange(1, 101) / config.orient_rate / dt)
+    at = np.searchsorted(meas, target)
+    assert (~np.isin(target, meas) & (target - meas[at - 1] == meas[at] - target)).any()
+
+
+def test_event_steps_at_the_step_cap_take_linear_time():
+    # the loops took 10.8 s for 10**5 steps of RM2 with measurements and
+    # orientation samples at the IMU rate, one argmin over every measurement
+    # step per orientation sample; the cap is 10**6 steps
+    dt = 1.0 / 200.0
+    for robot_motion, rate in (("RM2", 200.0), ("RM1", 100.0)):
+        config = ScenarioConfig(robot_motion=robot_motion, imu_rate=200.0,
+                                duration=MAX_IMU_STEPS * dt, meas_rate=rate,
+                                orient_rate=rate)
+        start = time.perf_counter()
+        meas, orient, switch = _event_steps(config, MAX_IMU_STEPS, dt)
+        assert time.perf_counter() - start < 5.0
+        stride = int(200.0 / rate)
+        assert np.array_equal(meas, np.arange(stride, MAX_IMU_STEPS + 1, stride))
+        assert np.array_equal(orient, meas)
+        # RM1: every 160th step is a switch's, and a measurement's, so the
+        # switch moves to the step after it
+        want = np.arange(160, MAX_IMU_STEPS, 160) + 1 if robot_motion == "RM1" else []
+        assert np.array_equal(switch, want)
 
 
 def test_zero_noise_dataset_is_exactly_consistent():

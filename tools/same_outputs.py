@@ -6,13 +6,17 @@
 For each seed, each checkout generates a dataset and runs its CLI on it:
 ``run --variant drs`` and ``run --variant srs`` (``RUNS`` runs, the seed as
 ``--seed``), then ``eval`` on every written run file.  ``--seeds`` take
-three datasets:
+four datasets:
 
 - the Case-A dataset of the ``rocking-mc`` workload, imported from the
   checkout's ``perfbench/workloads.py``;
 - criterion 7's: Case A with the filter told of TM3 at the same phase;
 - Case A on a three-row ``custom`` profile table, written by ``simulate``
-  from a config file that names the table's CSV file.
+  from a config file that names the table's CSV file;
+- a schedule-stress dataset: 2 s of Case A with 125 Hz measurements, a
+  0.014 s step period and 50 Hz surface orientation, where some contact
+  switches move off a measurement step, some past the switch before, and
+  some orientation samples tie between two measurement steps.
 
 ``--tm2-seeds`` take criterion 8's TM2/RM2 dataset, and the same dataset
 with no surface-orientation stream (``orient_rate = 0``), whose ``drs_pose``
@@ -60,6 +64,8 @@ from perfbench.workloads import CASE_A, OBS_MAX_TILT_DEG
 TM2_RM2 = dict(profile=PitchProfile(kind="TM2"), robot_motion="RM2",
                duration=10.0, meas_rate=15.0)
 SCENARIOS = {"case-a": CASE_A,
+             "schedule-stress": dict(CASE_A, duration=2.0, meas_rate=125.0,
+                                     orient_rate=50.0, step_period=0.014),
              "case-a-tm3-filter": dict(CASE_A, filter_profile=PitchProfile(
                  kind="TM3", phase_s=CASE_A["profile"].phase_s)),
              "tm2-rm2": TM2_RM2,
@@ -188,6 +194,7 @@ def main(argv=None):
              for name, seeds in (("case-a", args.seeds),
                                  ("case-a-tm3-filter", args.seeds),
                                  ("custom-table", args.seeds),
+                                 ("schedule-stress", args.seeds),
                                  ("tm2-rm2", args.tm2_seeds),
                                  ("tm2-rm2-no-orient", args.tm2_seeds))
              for s in seeds]
