@@ -114,19 +114,12 @@ def _stack(entries, shape):
 
 def _stacked_step_terms(dataset, noise, variant):
     """The StepTerms of every IMU step of a dataset, formed at once with the
-    operations of ``step_terms`` on arrays, and yielded step by step.
-
-    The inputs are checked first, with step_terms' rules: the first step
-    that breaks one raises its ValueError.
+    operations of ``step_terms`` on arrays, and yielded step by step.  The
+    dataset must pass ``ScenarioDataset.validate``, which checks the inputs
+    with step_terms' rules.
     """
     dts = np.append(np.diff(dataset.imu_t), dataset.dt)
     omega, acc, v_c = dataset.imu_omega, dataset.imu_acc, dataset.contact_v
-    good = (0.0 < dts) & (dts <= MAX_DT) & np.isfinite(
-        np.concatenate((omega, acc, v_c), axis=1)).all(axis=1)
-    if not good.all():
-        k = int(good.argmin())
-        ProcessInput(ImuSample(omega[k], acc[k], dataset.imu_t[k]), v_c[k],
-                     dts[k]).validate()
     if variant is FilterVariant.SRS:
         v_c = np.zeros_like(v_c)
     x, y, z = (v_c * dts[:, None]).T

@@ -13,7 +13,7 @@ import json
 import math
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -197,34 +197,27 @@ def load_trajectory_arrays(path):
 # ---------------------------------------------------------------------------
 # config parsing
 
-_PROFILE_KEYS = ("profile", "filter_profile")
-_FLOAT_KEYS = {
-    "duration", "imu_rate", "meas_rate", "orient_rate", "step_period",
-    "stride_width", "base_height",
-}
 _BOOLEANS = {"1": True, "0": False, "true": True, "false": False,
              "yes": True, "no": False}
+# a ScenarioConfig field's declared type -> the reader of its value
+_READERS = {"float": float, "float | None": float, "int": int, "str": str,
+            "bool": lambda raw: _BOOLEANS[raw.lower()],
+            "PitchProfile": make_profile, "PitchProfile | None": make_profile}
 
 
 def parse_scenario_config(path):
+    """A ScenarioConfig from a ``key = value`` file: the noise keys of
+    ``read_config``, and every other field by its name."""
     noise_kwargs, values = read_config(path)
+    types = {f.name: f.type for f in fields(ScenarioConfig) if f.name != "noise"}
     kwargs = {}
     for key, raw in values.items():
-        if key in _PROFILE_KEYS:
-            kwargs[key] = make_profile(raw)
-        elif key == "robot_motion":
-            kwargs[key] = raw
-        elif key == "seed":
-            kwargs[key] = int(raw)
-        elif key == "draw_biases":
-            if raw.lower() not in _BOOLEANS:
-                raise ValueError(f"draw_biases must be one of "
-                                 f"{'/'.join(_BOOLEANS)}, got {raw!r}")
-            kwargs[key] = _BOOLEANS[raw.lower()]
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(raw)
-        else:
+        if key not in types:
             raise ValueError(f"unknown config key: {key}")
+        if types[key] == "bool" and raw.lower() not in _BOOLEANS:
+            raise ValueError(f"{key} must be one of "
+                             f"{'/'.join(_BOOLEANS)}, got {raw!r}")
+        kwargs[key] = _READERS[types[key]](raw)
     if noise_kwargs:
         kwargs["noise"] = NoiseConfig(**noise_kwargs)
     return ScenarioConfig(**kwargs)

@@ -18,7 +18,8 @@ All noise comes from one draw, sliced in the order a step-by-step draw would
 take it.
 
 ``ScenarioDataset.validate`` is the one definition of a dataset the filter
-and the error evaluation read correctly; ``load_jsonl`` and ``run_variant``
+and the error evaluation read correctly, ``ProcessInput.validate``'s rules on
+every IMU step included; ``generate``, ``load_jsonl`` and ``run_variant``
 call it.
 """
 
@@ -32,7 +33,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .drs import PitchProfile, drs_pose_at
-from .filter import GRAVITY
+from .filter import GRAVITY, MAX_DT, ImuSample, ProcessInput
 # not called here: the perfbench tracer wraps drs_inekf.sim.integrate_mean
 from .filter import integrate_mean  # noqa: F401
 from .kinematics import VirtualLeg
@@ -154,9 +155,18 @@ class ScenarioDataset:
             if off.any():
                 raise ValueError(f"{name} record at t={times[off.argmax()]:.6g}"
                                  f" falls on no {home} step")
-            if np.unique(step).size < step.size:
+            if (np.diff(np.sort(step)) == 0).any():
                 raise ValueError(f"two {name} events fall on one IMU step")
             schedule[step, col] = np.arange(times.size)
+        # the first step that breaks a rule of ProcessInput.validate raises its error
+        dts = np.append(np.diff(self.imu_t), self.dt)
+        omega, acc, v_c = self.imu_omega, self.imu_acc, self.contact_v
+        good = (0.0 < dts) & (dts <= MAX_DT) & np.isfinite(
+            np.concatenate((omega, acc, v_c), axis=1)).all(axis=1)
+        if not good.all():
+            k = int(good.argmin())
+            ProcessInput(ImuSample(omega[k], acc[k], self.imu_t[k]), v_c[k],
+                         dts[k]).validate()
         return schedule
 
 
@@ -253,7 +263,8 @@ def generate(config):
     noise are evaluated on the whole time grid.  A config that leaves no IMU
     step, no measurement step, or no free step for a contact switch raises
     ValueError before anything is evaluated, and so does a dataset that comes
-    out non-finite.
+    out non-finite or fails ``ScenarioDataset.validate`` (an IMU step longer
+    than MAX_DT).
     """
     rng = np.random.default_rng(config.seed)
     noise = config.noise
@@ -354,6 +365,7 @@ def generate(config):
         value = getattr(dataset, f.name)
         if isinstance(value, np.ndarray) and not np.isfinite(value).all():
             raise ValueError(f"the config gives a non-finite {f.name}")
+    dataset.validate()
     return dataset
 
 

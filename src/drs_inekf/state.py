@@ -61,21 +61,15 @@ class NoiseConfig:
                 raise ValueError(f"{f.name} must be finite and nonnegative")
 
 
-# config key -> NoiseConfig field; the "_deg" keys are given in degrees
-_NOISE_KEYS = {
-    **{name: name for name in ("sd_gyro", "sd_accel", "sd_bias_gyro",
-                               "sd_bias_accel", "sd_contact_vel")},
-    "sd_encoder_deg": "sd_encoder",
-    "sd_drs_orient_deg": "sd_drs_orient",
-}
-
-
 def read_config(path):
     """Read a ``key = value`` file; ``#`` starts a comment.
 
     Returns the NoiseConfig keyword arguments set by noise keys and the raw
-    strings of all other keys.
+    strings of all other keys.  A noise key is a NoiseConfig field's name,
+    with "_deg" added for the two angles, which are given in degrees.
     """
+    keys = {f.name + "_deg" * (f.name in ("sd_encoder", "sd_drs_orient")): f.name
+            for f in fields(NoiseConfig)}
     noise, other = {}, {}
     with open(path) as fh:
         for line in fh:
@@ -85,10 +79,9 @@ def read_config(path):
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
             key, raw = (s.strip() for s in line.split("=", 1))
-            if key in _NOISE_KEYS:
+            if key in keys:
                 val = float(raw)
-                noise[_NOISE_KEYS[key]] = (math.radians(val)
-                                          if key.endswith("_deg") else val)
+                noise[keys[key]] = math.radians(val) if key.endswith("_deg") else val
             else:
                 other[key] = raw
     return noise, other

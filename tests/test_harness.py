@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import gc
 import io
@@ -36,7 +37,7 @@ from drs_inekf.liegroup import GroupElement, rot_to_quat, so3_exp
 from drs_inekf.sim import (ScenarioConfig, generate, load_jsonl, save_jsonl,
                            write_jsonl)
 from drs_inekf.state import (BiasState, FilterState, NoiseConfig,
-                             run_covariance)
+                             load_noise_config, run_covariance)
 
 ZERO_NOISE = NoiseConfig(sd_gyro=0.0, sd_accel=0.0, sd_bias_gyro=0.0,
                          sd_bias_accel=0.0, sd_contact_vel=0.0,
@@ -135,33 +136,70 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     assert np.allclose(vs[-1], traj[-1].X.v, atol=1e-12)
 
 
+# every key a config file may set, one value each; each differs from its
+# default, and the noise SDs are finite and nonnegative
+SCENARIO_KEYS = {
+    "profile": "TM3", "filter_profile": "TM2", "robot_motion": "RM2",
+    "duration": "4.5", "imu_rate": "150", "meas_rate": "30",
+    "orient_rate": "7.5", "step_period": "0.6", "seed": "12",
+    "stride_width": "0.15", "base_height": "0.85", "draw_biases": "yes",
+}
+NOISE_KEYS = {
+    "sd_gyro": "0.02", "sd_accel": "0.3", "sd_bias_gyro": "0.0002",
+    "sd_bias_accel": "0.002", "sd_contact_vel": "0.03",
+    "sd_encoder_deg": "0.5", "sd_drs_orient_deg": "2",
+}
+
+
 def test_parse_scenario_config(tmp_path):
+    # one file that sets every ScenarioConfig field but noise, and every
+    # noise key
     path = tmp_path / "scenario.cfg"
-    path.write_text(
-        "profile = TM1\n"
-        "filter_profile = TM3\n"
-        "robot_motion = RM2\n"
-        "duration = 4.0\n"
-        "meas_rate = 20\n"
-        "orient_rate = 5\n"
-        "seed = 9\n"
-        "sd_gyro = 0.02\n"
-        "sd_encoder_deg = 0.5\n")
+    path.write_text("".join(f"{key} = {value}\n" for key, value in
+                            {**SCENARIO_KEYS, **NOISE_KEYS}.items()))
     cfg = parse_scenario_config(path)
-    assert cfg.profile.kind == "TM1"
-    assert cfg.filter_profile.kind == "TM3"
-    assert cfg.robot_motion == "RM2"
-    assert cfg.duration == 4.0
-    assert cfg.orient_rate == 5.0
-    assert cfg.seed == 9
-    assert cfg.noise.sd_gyro == 0.02
-    assert math.isclose(cfg.noise.sd_encoder, math.radians(0.5))
+    assert cfg.profile.kind == "TM3"
+    assert cfg.filter_profile.kind == "TM2"
+    assert dataclasses.asdict(cfg) == dataclasses.asdict(ScenarioConfig(
+        profile=cfg.profile, filter_profile=cfg.filter_profile,
+        robot_motion="RM2", duration=4.5, imu_rate=150.0, meas_rate=30.0,
+        orient_rate=7.5, step_period=0.6, seed=12, stride_width=0.15,
+        base_height=0.85, draw_biases=True, noise=NoiseConfig(
+            sd_gyro=0.02, sd_accel=0.3, sd_bias_gyro=0.0002,
+            sd_bias_accel=0.002, sd_contact_vel=0.03,
+            sd_encoder=math.radians(0.5), sd_drs_orient=math.radians(2.0))))
+    assert type(cfg.seed) is int and type(cfg.duration) is float
+
+
+def test_config_keys_are_exactly_the_listed_ones(tmp_path):
+    # the 12 scenario and 7 noise keys; a field name is no key by itself
+    # (noise, the angles without _deg) and an _deg form of another is none
+    names = [f.name for cls in (ScenarioConfig, NoiseConfig)
+             for f in dataclasses.fields(cls)]
+    keys, path = {**SCENARIO_KEYS, **NOISE_KEYS}, tmp_path / "scenario.cfg"
+    for key in {*keys, *names, *(f"{name}_deg" for name in names)}:
+        path.write_text(f"{key} = {keys.get(key, '1')}\n")
+        if key in keys:
+            parse_scenario_config(path)
+        else:
+            with pytest.raises(ValueError, match=f"^unknown config key: {key}$"):
+                parse_scenario_config(path)
+        if key in NOISE_KEYS:
+            load_noise_config(path)
+        else:
+            with pytest.raises(ValueError,
+                               match=f"^unknown noise config key: {key}$"):
+                load_noise_config(path)
 
 
 def test_parse_scenario_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("profile = TM1\nwarp_speed = 9\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown config key: warp_speed$"):
+        parse_scenario_config(path)
+    path.write_text("draw_biases = ture\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "draw_biases must be one of 1/0/true/false/yes/no, got 'ture'")):
         parse_scenario_config(path)
 
 
@@ -750,13 +788,18 @@ def test_cli_simulate_maps_generate_value_error_to_exit_1(tmp_path, capsys,
     ("step_period = 0.002", "step_period 0.002 s rounds to zero IMU steps"),
     ("step_period = 0.004", "finds no free IMU step"),
     ("duration = 0.002", "duration 0.002 s rounds to zero IMU steps"),
-    ("meas_rate = 0.5", "no measurement step falls within the duration")],
+    ("meas_rate = 0.5", "no measurement step falls within the duration"),
+    ("imu_rate = 5\nmeas_rate = 2.5", "dt must be in (0, 0.1], got 0.2\n"),
+    ("imu_rate = 10\nmeas_rate = 5",
+     "dt must be in (0, 0.1], got 0.10000000000000003\n")],
     ids=["every-step-measured", "period-0.001", "period-below-half-step",
-         "period-0.004", "no-imu-step", "no-measurement"])
+         "period-0.004", "no-imu-step", "no-measurement", "imu-5-hz",
+         "imu-10-hz"])
 def test_cli_simulate_rejects_configs_without_a_schedule(tmp_path, capsys,
                                                          setting, message):
     # the switch configs used to end in an IndexError traceback (or, below
-    # half a step, write a switch at t = 0), the others in an invalid dataset;
+    # half a step, write a switch at t = 0), the others in an invalid dataset
+    # (at 5 and 10 Hz, one that run rejected and eval scored);
     # a failed simulate leaves an existing --out file as it was
     # and leaves no file at a fresh --out path
     cfg = tmp_path / "scenario.cfg"

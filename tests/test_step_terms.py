@@ -77,16 +77,21 @@ def _reference_propagate(state, inp, noise, variant):
     return FilterState(X, state.theta, symmetrize(P), state.t + inp.dt)
 
 
+def _reference_inputs(dataset):
+    """One ProcessInput per IMU sample."""
+    t_imu = dataset.imu_t
+    dts = np.append(np.diff(t_imu), dataset.dt)
+    for k in range(t_imu.size):
+        imu = ImuSample(dataset.imu_omega[k], dataset.imu_acc[k], t_imu[k])
+        yield ProcessInput(imu, dataset.contact_v[k], dts[k])
+
+
 def _reference_run(state, dataset, variant, model, noise):
     """The run loop with one ProcessInput and one reference step per IMU
     sample."""
     schedule = dataset.validate()
-    t_imu = dataset.imu_t
-    dts = np.append(np.diff(t_imu), dataset.dt)
     trajectory = []
-    for k, (js, jm, jo) in enumerate(schedule.tolist()):
-        imu = ImuSample(dataset.imu_omega[k], dataset.imu_acc[k], t_imu[k])
-        inp = ProcessInput(imu, dataset.contact_v[k], dts[k])
+    for inp, (js, jm, jo) in zip(_reference_inputs(dataset), schedule.tolist()):
         state = _reference_propagate(state, inp, noise, variant)
         if js >= 0:
             state = jump_propagate(state, dataset.switch_q[js], model, noise)
@@ -252,28 +257,35 @@ FAULTS = {
 @pytest.mark.parametrize("variant", list(FilterVariant), ids=lambda v: v.value)
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_bad_inputs_raise_the_per_step_error(fault, variant, tmp_path, capsys):
+    # validate raises the per-step error, so run_variant raises it before
+    # its first step, and run and eval reject the dataset file
     faults, expected = FAULTS[fault]
     ds = _damaged(faults)
-    ds.validate()
-    start = FilterState(ds.initial_group_element(), BiasState(),
-                        run_covariance(), 0.0)
-    leg, noise = VirtualLeg(), NoiseConfig()
     with pytest.raises(ValueError) as ref:
-        _reference_run(start, ds, variant, leg, noise)
+        for inp in _reference_inputs(ds):
+            _reference_validate(inp)
     message = str(ref.value)
     assert message.startswith(expected)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_variant(start, ds, variant, leg, noise)
-    # through the CLI: a NaN field fails the dataset reader, a gap the filter
-    data = tmp_path / "scenario.jsonl"
+    start = FilterState(ds.initial_group_element(), BiasState(),
+                        run_covariance(), 0.0)
+    for check in (ds.validate, lambda: run_variant(start, ds, variant,
+                                                   VirtualLeg(), NoiseConfig())):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()
+    # through the CLI: a NaN field fails the dataset reader's column check,
+    # a gap its validate
+    data, estimate = tmp_path / "scenario.jsonl", tmp_path / "estimate.jsonl"
     save_jsonl(ds, data)
-    assert main(["run", "--dataset", str(data), "--variant", variant.value,
-                 "--out", str(tmp_path / "runs")]) == 1
-    err = capsys.readouterr().err
-    if fault == "gap":
-        assert err == f"error: {message}\n"
-    else:
-        assert err.startswith("error: ") and err.count("\n") == 1
+    estimate.write_text('{"t": 1.0, "quat": [1, 0, 0, 0], "v": [0, 0, 0]}\n')
+    for argv in (["run", "--dataset", str(data), "--variant", variant.value,
+                  "--out", str(tmp_path / "runs")],
+                 ["eval", "--truth", str(data), "--estimate", str(estimate)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        if fault == "gap":
+            assert err == f"error: {message}\n"
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _FINITE = st.floats(-3.0, 3.0)

@@ -18,13 +18,16 @@ four datasets:
   switches move off a measurement step, some past the switch before, and
   some orientation samples tie between two measurement steps.
 
-``--tm2-seeds`` take criterion 8's TM2/RM2 dataset, and the same dataset
+``--tm2-seeds`` take criterion 8's TM2/RM2 dataset, the same dataset
 with no surface-orientation stream (``orient_rate = 0``), whose ``drs_pose``
-and ``contact_switch`` record kinds are empty.  Each checkout also runs
-``obs`` once, over the workload's tilt range in steps of ``OBS_STEP_DEG``,
-and three units that fail: ``simulate`` of ``profile = TM9``, ``run`` on the
-Case-A dataset (seed 1) with every encoder time shifted by 0.002 s, and
-``eval`` of an estimate outside that dataset's truth window.
+and ``contact_switch`` record kinds are empty, and the same dataset at a
+12.5 Hz IMU and 12.5 Hz encoders, whose 0.08 s steps make the valid grid
+nearest to the 0.1 s step bound of ``ScenarioDataset.validate``.  Each
+checkout also runs ``obs`` once, over the workload's tilt range in steps of
+``OBS_STEP_DEG``, and three units that fail: ``simulate`` of
+``profile = TM9``, ``run`` on the Case-A dataset (seed 1) with every encoder
+time shifted by 0.002 s, and ``eval`` of an estimate outside that dataset's
+truth window.
 The units are the tool's own, not the workload's ``RockingMC._calls``: they
 also evaluate the SRS runs and run on datasets that no workload writes to
 files.
@@ -60,7 +63,7 @@ from perfbench.workloads import CASE_A, OBS_MAX_TILT_DEG
 
 # the rocking-mc workload's Case A, and criterion 7's mismatch on it;
 # criterion 8's scenario (test_acceptance), also without its
-# surface-orientation stream
+# surface-orientation stream and at a 12.5 Hz IMU
 TM2_RM2 = dict(profile=PitchProfile(kind="TM2"), robot_motion="RM2",
                duration=10.0, meas_rate=15.0)
 SCENARIOS = {"case-a": CASE_A,
@@ -69,7 +72,8 @@ SCENARIOS = {"case-a": CASE_A,
              "case-a-tm3-filter": dict(CASE_A, filter_profile=PitchProfile(
                  kind="TM3", phase_s=CASE_A["profile"].phase_s)),
              "tm2-rm2": TM2_RM2,
-             "tm2-rm2-no-orient": dict(TM2_RM2, orient_rate=0.0)}
+             "tm2-rm2-no-orient": dict(TM2_RM2, orient_rate=0.0),
+             "tm2-rm2-low-rate": dict(TM2_RM2, imu_rate=12.5, meas_rate=12.5)}
 # Case A on a profile table, written by simulate from a config file
 TABLE_CSV = "0.0,-4.0\n3.0,6.0\n8.0,1.0\n"
 
@@ -196,7 +200,8 @@ def main(argv=None):
                                  ("custom-table", args.seeds),
                                  ("schedule-stress", args.seeds),
                                  ("tm2-rm2", args.tm2_seeds),
-                                 ("tm2-rm2-no-orient", args.tm2_seeds))
+                                 ("tm2-rm2-no-orient", args.tm2_seeds),
+                                 ("tm2-rm2-low-rate", args.tm2_seeds))
              for s in seeds]
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(args.workdir or tmp)
